@@ -37,6 +37,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.colors import BLACK, ColorKind, EdgeColor
+from repro.util.graphutils import ensure_simple
 from repro.util.ids import NodeId
 
 #: Packed colour-kind codes (column ``_ekind``).
@@ -202,6 +203,24 @@ class EdgeStore:
 
     def number_of_edges(self) -> int:
         return self._edge_count
+
+    def is_connected(self) -> bool:
+        """Return whether the graph is connected (a search over the adjacency).
+
+        Agrees with ``nx.is_connected`` on :meth:`to_networkx`, except that
+        the empty store counts as connected where NetworkX raises.
+        """
+        adj = self._adj
+        if not adj:
+            return True
+        start = next(iter(adj))
+        seen = {start}
+        stack = [start]
+        while stack:
+            fresh = adj[stack.pop()].keys() - seen
+            seen |= fresh
+            stack.extend(fresh)
+        return len(seen) == len(adj)
 
     def degree(self, node: NodeId) -> int:
         """Return the degree of ``node`` (KeyError when absent, like nx)."""
@@ -408,6 +427,45 @@ class EdgeStore:
         return self._node_ids[:high], self._node_alive[:high], self._deg[:high]
 
     # --------------------------------------------------------- materializer
+
+    @classmethod
+    def from_networkx(cls, graph: nx.Graph) -> "EdgeStore":
+        """Load an initial topology ``G_0``: every edge black and ``was_black``.
+
+        The loading counterpart of :meth:`to_networkx`.  One pass fills the
+        columns, and the store is slot for slot the one that :meth:`add_node`
+        for every node (with its data) followed by :meth:`add_edge` for every
+        edge of ``graph.edges()`` would build: the same node order, neighbour
+        order and edge slots.  Raises :class:`ValueError` on self-loops.
+        """
+        ensure_simple(graph)
+        store = cls()
+        adj = store._adj
+        for node, data in graph.nodes(data=True):
+            adj[node] = {}
+            if data:
+                store._node_meta[node] = dict(data)
+        ends: list[NodeId] = []
+        for u, v in graph.edges():
+            nbrs = adj[u]
+            if v not in nbrs:  # multigraphs repeat an edge that is already black
+                nbrs[v] = adj[v][u] = len(ends) // 2
+                ends += (u, v)
+        n, m = len(adj), len(ends) // 2
+        while n > len(store._node_ids):
+            store._grow_nodes()
+        while m > len(store._eu):
+            store._grow_edges()
+        store._node_slot = dict(zip(adj, range(n)))
+        store._node_ids[:n] = np.fromiter(adj, dtype=np.int64, count=n)
+        store._node_alive[:n] = True
+        store._deg[:n] = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
+        store._node_count = store._node_high = n
+        store._eu[:m] = ends[0::2]
+        store._ev[:m] = ends[1::2]
+        store._ewas_black[:m] = True
+        store._edge_count = store._edge_high = m
+        return store
 
     def to_networkx(self) -> nx.Graph:
         """Materialize a snapshot ``nx.Graph`` with full edge attribute dicts.

@@ -24,7 +24,6 @@ from repro.core.colors import BLACK, EdgeColor
 from repro.core.edgestore import EdgeStore
 from repro.core.events import RepairAction, RepairReport
 from repro.util.eventlog import EventKind, EventLog
-from repro.util.graphutils import ensure_simple
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 from repro.util.validation import require
@@ -59,18 +58,12 @@ class SelfHealer(ABC):
         All initial edges are coloured black.  The input graph is copied; the
         healer never mutates the caller's graph.  Node attributes (e.g. the
         failure-domain labels of :mod:`repro.core.domains`) are copied into
-        the store so they survive the EdgeStore round-trip.
+        the store so they survive the EdgeStore round-trip.  A graph with
+        self-loops raises :class:`ValueError`.
         """
-        ensure_simple(graph)
-        self._graph = EdgeStore()
+        self._graph = EdgeStore.from_networkx(graph)
         self._materialized = None
         self._materialized_version = -1
-        for node, data in graph.nodes(data=True):
-            self._graph.add_node(node)
-            if data:
-                self._graph.set_node_data(node, data)
-        for u, v in graph.edges():
-            self._add_black_edge(u, v)
         self._timestep = 0
         self._bump_graph_version()
         self.event_log.clear()
@@ -153,9 +146,9 @@ class SelfHealer(ABC):
     def graph_store(self) -> EdgeStore:
         """The live struct-of-arrays store backing :attr:`graph`.
 
-        The harness's hot loop (adversary probes, degree tracking, replay
-        membership checks) reads this directly and never pays
-        materialization; treat it as read-only from outside the healer.
+        Both harness run loops (adversary probes, degree tracking, replay
+        membership checks) read this directly, and their result keeps it as
+        ``final_store``; treat it as read-only from outside the healer.
         """
         return self._graph
 

@@ -5,11 +5,16 @@ adversary produces an insertion or a deletion, the ghost graph records it,
 the healer reacts, and the trackers/ledgers accumulate the Theorem 2 and
 Theorem 5 quantities.  The same adversarial *trace* can be replayed against
 several healers (``run_healer_on_trace``) so comparisons are apples-to-apples.
+
+Both loops work on the healer's :class:`~repro.core.edgestore.EdgeStore` from
+start to finish.  An ``nx.Graph`` is built only for a metric snapshot or when
+a caller reads :attr:`ExperimentResult.final_graph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import networkx as nx
@@ -18,6 +23,7 @@ from repro.adversary.base import Adversary, AdversaryEvent
 from repro.analysis.amortized import AmortizedCostSummary, CostLedger
 from repro.analysis.invariants import Theorem2Verdict
 from repro.analysis.trackers import DegreeRatioTracker, MetricTimeline
+from repro.core.edgestore import EdgeStore
 from repro.core.ghost import GhostGraph
 from repro.core.healer import SelfHealer
 from repro.perf.engine import MetricsEngine
@@ -32,8 +38,10 @@ class ExperimentConfig:
     Attributes
     ----------
     healer_factory / adversary_factory:
-        Zero-argument callables producing a fresh healer / adversary; the
-        runner owns their lifecycle so sweeps can re-instantiate cleanly.
+        Zero-argument callables producing a fresh
+        :class:`~repro.core.healer.SelfHealer` / adversary; the runner owns
+        their lifecycle so sweeps can re-instantiate cleanly, and drives the
+        healer's ``graph_store`` directly.
     initial_graph:
         The starting topology ``G_0`` (connected, simple).
     timesteps:
@@ -101,7 +109,10 @@ class ExperimentResult:
     timesteps_executed: int
     insertions: int
     deletions: int
-    final_graph: nx.Graph
+    #: The healer's own store holding the final healed graph ``G_t`` (not a
+    #: copy: driving the healer on would change it).  :attr:`final_graph`
+    #: materializes it.
+    final_store: EdgeStore
     ghost: GhostGraph
     final_metrics: GraphMetrics | None
     ghost_metrics: GraphMetrics | None
@@ -118,11 +129,15 @@ class ExperimentResult:
     #: exporter uses this to preserve the grouping.  Empty for flat replays.
     event_steps: list[int] = field(default_factory=list)
 
+    @cached_property
+    def final_graph(self) -> nx.Graph:
+        """The final healed graph as an ``nx.Graph``, built on first read and cached."""
+        return self.final_store.to_networkx()
+
     @property
     def connected(self) -> bool:
         """Return whether the final healed graph is connected."""
-        graph = self.final_graph
-        return graph.number_of_nodes() <= 1 or nx.is_connected(graph)
+        return self.final_store.is_connected()
 
     def summary_row(self) -> dict[str, object]:
         """Return a flat dict suitable for the report printers.
@@ -136,8 +151,8 @@ class ExperimentResult:
             "healer": self.healer_name,
             "adversary": self.adversary_name,
             "steps": self.timesteps_executed,
-            "nodes": final.nodes if final is not None else self.final_graph.number_of_nodes(),
-            "edges": final.edges if final is not None else self.final_graph.number_of_edges(),
+            "nodes": self.final_store.number_of_nodes(),
+            "edges": self.final_store.number_of_edges(),
             "connected": self.connected,
             "h(Gt)": round(final.edge_expansion, 4) if final is not None else None,
             "h(G't)": round(ghost.edge_expansion, 4) if ghost is not None else None,
@@ -213,17 +228,6 @@ def _validate_batch(live, batch: Sequence[AdversaryEvent]) -> None:
             added.discard(event.node)
 
 
-def _live_view(healer: SelfHealer):
-    """Return the cheapest live-graph view of ``healer`` the hot loop can use.
-
-    Store-backed healers expose their :class:`~repro.core.edgestore.EdgeStore`,
-    which speaks the graph dialect adversaries consume — probing it costs no
-    materialization.  Healers without a store (external plugins) fall back to
-    the ``nx.Graph`` property.
-    """
-    return getattr(healer, "graph_store", None) or healer.graph
-
-
 def _ghost_full_snapshot(
     engine: MetricsEngine, ghost: GhostGraph, ghost_engine: MetricsEngine | None
 ) -> GraphMetrics:
@@ -256,6 +260,47 @@ def _ghost_full_snapshot(
         ("combinatorial", "ghost_full"), ghost.graph_version, metrics.algebraic_connectivity
     )
     return metrics
+
+
+def _finish_run(
+    healer: SelfHealer,
+    ghost: GhostGraph,
+    engine: MetricsEngine,
+    ghost_engine: MetricsEngine | None,
+    kappa: int,
+    snapshot_every: int | None,
+    **fields,
+) -> ExperimentResult:
+    """Take the final Theorem-2 snapshot trio and package the run.
+
+    ``snapshot_every == 0`` skips the trio.  The result keeps the healer's
+    store, not a graph copy; ``fields`` are the loop's remaining
+    :class:`ExperimentResult` fields.
+    """
+    final_metrics = ghost_metrics = final_verdict = None
+    if snapshot_every != 0:
+        final_metrics = engine.snapshot(
+            healer.graph,
+            ghost=ghost.alive_subgraph(),
+            version=healer.graph_version,
+            ghost_version=ghost.version,
+            label="healed",
+        )
+        ghost_metrics = _ghost_full_snapshot(engine, ghost, ghost_engine)
+        final_verdict = engine.check_theorem2(
+            healer.graph, ghost, kappa=kappa, healed_version=healer.graph_version
+        )
+    return ExperimentResult(
+        healer_name=healer.name,
+        final_store=healer.graph_store,
+        ghost=ghost,
+        final_metrics=final_metrics,
+        ghost_metrics=ghost_metrics,
+        final_verdict=final_verdict,
+        cache_stats=engine.cache_stats(),
+        healer_extra=healer.extra_summary(),
+        **fields,
+    )
 
 
 def run_experiment(
@@ -295,19 +340,17 @@ def run_experiment(
     deletions = 0
     executed = 0
 
-    live = _live_view(healer)
-    fast_tracker = live is not healer.graph
-    if fast_tracker:
-        degree_tracker.attach_store(live, ghost)
+    store = healer.graph_store
+    degree_tracker.attach_store(store, ghost)
     snapshot_cadence = config.snapshot_every if config.snapshot_every else 0
 
     for timestep in range(1, config.timesteps + 1):
-        batch = adversary.next_events(live, timestep)
+        batch = adversary.next_events(store, timestep)
         if not batch:
             break
         # Atomicity: validate the whole batch against the untouched graph, so
         # a malformed correlated kill aborts before any member event applies.
-        _validate_batch(live, batch)
+        _validate_batch(store, batch)
         worst_ratio = degree_tracker.max_ratio_seen
         for event in batch:
             trace.append(event)
@@ -325,17 +368,14 @@ def run_experiment(
                     black_degree=black_degree,
                     messages=messages,
                     rounds=rounds,
-                    network_size=live.number_of_nodes(),
+                    network_size=store.number_of_nodes(),
                 )
+            else:
+                degree_tracker.record_insertion(event.node, event.neighbors)
             # Observe after *every* event (not once per timestep): replays
             # walk the flat trace event by event, so the degree-ratio stream
             # must match or run-vs-replay byte-identity breaks.
-            if fast_tracker:
-                if event.is_insertion:
-                    degree_tracker.record_insertion(event.node, event.neighbors)
-                worst_ratio = degree_tracker.observe_store()
-            else:
-                worst_ratio = degree_tracker.observe(healer.graph, ghost)
+            worst_ratio = degree_tracker.observe_store()
 
         due = config.metric_every and timestep % config.metric_every == 0
         due = due or (snapshot_cadence and timestep % snapshot_cadence == 0)
@@ -353,44 +393,22 @@ def run_experiment(
                 )
             )
 
-    if config.snapshot_every == 0:
-        final_metrics = ghost_metrics = None
-        final_verdict = None
-    else:
-        ghost_alive = ghost.alive_subgraph()
-        final_metrics = engine.snapshot(
-            healer.graph,
-            ghost=ghost_alive,
-            version=healer.graph_version,
-            ghost_version=ghost.version,
-            label="healed",
-        )
-        ghost_metrics = _ghost_full_snapshot(engine, ghost, ghost_engine)
-        final_verdict = engine.check_theorem2(
-            healer.graph,
-            ghost,
-            kappa=config.kappa,
-            healed_version=healer.graph_version,
-        )
-
-    return ExperimentResult(
-        healer_name=healer.name,
+    return _finish_run(
+        healer,
+        ghost,
+        engine,
+        ghost_engine,
+        config.kappa,
+        config.snapshot_every,
         adversary_name=adversary.name,
         timesteps_executed=executed,
         insertions=insertions,
         deletions=deletions,
-        final_graph=healer.graph.copy(),
-        ghost=ghost,
-        final_metrics=final_metrics,
-        ghost_metrics=ghost_metrics,
-        final_verdict=final_verdict,
         timeline=timeline,
         cost_summary=ledger.summary(),
         worst_degree_ratio=degree_tracker.max_ratio_seen,
         trace=trace,
         intermediate_verdicts=verdicts,
-        cache_stats=engine.cache_stats(),
-        healer_extra=healer.extra_summary(),
         event_steps=event_steps,
     )
 
@@ -443,18 +461,16 @@ def run_healer_on_trace(
     deletions = 0
     executed = 0
 
-    live = _live_view(healer)
-    fast_tracker = live is not healer.graph
-    if fast_tracker:
-        degree_tracker.attach_store(live, ghost)
+    store = healer.graph_store
+    degree_tracker.attach_store(store, ghost)
 
     for event in trace:
-        if event.is_deletion and event.node not in live:
+        if event.is_deletion and event.node not in store:
             continue
-        if event.is_insertion and event.node in live:
+        if event.is_insertion and event.node in store:
             continue
         if event.is_insertion:
-            neighbors = tuple(node for node in event.neighbors if node in live)
+            neighbors = tuple(node for node in event.neighbors if node in store)
             if not neighbors:
                 # All anchors are gone: the event cannot be applied, so it
                 # must not count as executed either (it would inflate the
@@ -464,8 +480,7 @@ def run_healer_on_trace(
             insertions += 1
             ghost.record_insertion(event.node, neighbors)
             healer.handle_insertion(event.node, neighbors)
-            if fast_tracker:
-                degree_tracker.record_insertion(event.node, neighbors)
+            degree_tracker.record_insertion(event.node, neighbors)
         else:
             executed += 1
             deletions += 1
@@ -477,44 +492,23 @@ def run_healer_on_trace(
                 black_degree=black_degree,
                 messages=report.messages if report.messages else report.total_edge_changes,
                 rounds=report.rounds,
-                network_size=live.number_of_nodes(),
+                network_size=store.number_of_nodes(),
             )
-        if fast_tracker:
-            degree_tracker.observe_store()
-        else:
-            degree_tracker.observe(healer.graph, ghost)
+        degree_tracker.observe_store()
 
-    if snapshot_every == 0:
-        final_metrics = ghost_metrics = None
-        final_verdict = None
-    else:
-        ghost_alive = ghost.alive_subgraph()
-        final_metrics = engine.snapshot(
-            healer.graph,
-            ghost=ghost_alive,
-            version=healer.graph_version,
-            ghost_version=ghost.version,
-            label="healed",
-        )
-        ghost_metrics = _ghost_full_snapshot(engine, ghost, ghost_engine)
-        final_verdict = engine.check_theorem2(
-            healer.graph, ghost, kappa=kappa, healed_version=healer.graph_version
-        )
-    return ExperimentResult(
-        healer_name=healer.name,
+    return _finish_run(
+        healer,
+        ghost,
+        engine,
+        ghost_engine,
+        kappa,
+        snapshot_every,
         adversary_name=adversary_name,
         timesteps_executed=executed,
         insertions=insertions,
         deletions=deletions,
-        final_graph=healer.graph.copy(),
-        ghost=ghost,
-        final_metrics=final_metrics,
-        ghost_metrics=ghost_metrics,
-        final_verdict=final_verdict,
         timeline=timeline,
         cost_summary=ledger.summary(),
         worst_degree_ratio=degree_tracker.max_ratio_seen,
         trace=list(trace),
-        cache_stats=engine.cache_stats(),
-        healer_extra=healer.extra_summary(),
     )

@@ -5,12 +5,16 @@ dict-of-dicts ``nx.Graph`` it replaced: same node iteration order, same edge
 set, same per-edge colour/was_black/owners attributes, same degrees — under
 arbitrary interleavings of node/edge insertion, removal and attribute edits.
 A second layer checks the :class:`SelfHealer`-level contract: version bumps
-on mutation and materialization caching.
+on mutation and materialization caching.  A third pins the bulk loader
+:meth:`EdgeStore.from_networkx` to the per-edge path it replaces, and
+:meth:`EdgeStore.is_connected` to ``nx.is_connected``.
 """
 
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,3 +182,105 @@ def test_healer_graph_version_bumps_and_materialization_cache(events):
         assert healer.graph is snapshot  # cached until the next mutation
         assert list(snapshot.nodes()) == list(healer.graph_store.nodes())
         assert snapshot.number_of_edges() == healer.graph_store.number_of_edges()
+
+
+# -- bulk load and connectivity ------------------------------------------------
+
+
+@st.composite
+def _initial_graphs(draw):
+    """Graphs with unsorted, non-contiguous ids, isolated nodes and node data.
+
+    Ids are drawn from 0..40 so the ``_OPS`` stream (nodes 0..7) hits loaded
+    nodes as well as fresh ones.
+    """
+    nodes = draw(st.lists(st.integers(min_value=0, max_value=40), unique=True, max_size=14))
+    graph = nx.Graph()
+    for node in nodes:
+        data = draw(st.dictionaries(st.sampled_from(["domain", "zone"]), st.integers(0, 3)))
+        graph.add_node(node, **data)
+    if len(nodes) >= 2:
+        pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        graph.add_edges_from((u, v) for u, v in draw(st.lists(pairs, max_size=30)) if u != v)
+    return graph
+
+
+def _store_edge_by_edge(graph: nx.Graph) -> EdgeStore:
+    """The per-edge load that ``SelfHealer.initialize`` used before the bulk path."""
+    store = EdgeStore()
+    for node, data in graph.nodes(data=True):
+        store.add_node(node)
+        if data:
+            store.set_node_data(node, data)
+    for u, v in graph.edges():
+        store.add_edge(u, v, color=BLACK, was_black=True)
+    return store
+
+
+def _graph_layout(graph: nx.Graph):
+    """Node order with data, adjacency order with edge attributes."""
+    return (
+        list(graph.nodes(data=True)),
+        [(u, list(graph.adj[u].items())) for u in graph],
+    )
+
+
+def _assert_same_store(bulk: EdgeStore, reference: EdgeStore) -> None:
+    assert list(bulk.nodes()) == list(reference.nodes())
+    assert bulk.number_of_edges() == reference.number_of_edges()
+    for node in reference.nodes():
+        assert bulk.slot_of(node) == reference.slot_of(node)
+        assert bulk.node_data(node) == reference.node_data(node)
+        # Neighbour order and the slot of every edge.
+        assert [(v, bulk.edge_slot(node, v)) for v in bulk.neighbors(node)] == [
+            (v, reference.edge_slot(node, v)) for v in reference.neighbors(node)
+        ]
+    for got, want in zip(bulk.node_columns(), reference.node_columns()):
+        assert np.array_equal(got, want)
+    for u, v in reference.edges():
+        slot = reference.edge_slot(u, v)
+        assert bulk.color_of_slot(slot) == reference.color_of_slot(slot)
+        assert bulk.slot_was_black(slot) == reference.slot_was_black(slot)
+        assert bulk.owners_of_slot(slot) == reference.owners_of_slot(slot)
+    assert _graph_layout(bulk.to_networkx()) == _graph_layout(reference.to_networkx())
+
+
+def _nx_connected(graph: nx.Graph) -> bool:
+    # NetworkX raises on the null graph; the store calls it connected.
+    return graph.number_of_nodes() == 0 or nx.is_connected(graph)
+
+
+@SETTINGS
+@given(_initial_graphs(), _OPS)
+def test_from_networkx_matches_the_edge_by_edge_store_through_churn(graph, ops):
+    bulk = EdgeStore.from_networkx(graph)
+    reference = _store_edge_by_edge(graph)
+    _assert_same_store(bulk, reference)
+    assert bulk.is_connected() == _nx_connected(graph)
+    bulk_shadow, reference_shadow = bulk.to_networkx(), reference.to_networkx()
+    for op in ops:
+        _apply(bulk, bulk_shadow, op)
+        _apply(reference, reference_shadow, op)
+        _assert_same_store(bulk, reference)
+        _assert_equivalent(bulk, bulk_shadow)
+        assert bulk.is_connected() == _nx_connected(bulk_shadow)
+
+
+def test_is_connected_on_tiny_stores():
+    store = EdgeStore()
+    assert store.is_connected()  # nx.is_connected raises on the null graph
+    store.add_node(5)
+    assert store.is_connected() == nx.is_connected(store.to_networkx())
+    store.add_node(9)
+    assert not store.is_connected()
+    store.add_edge(9, 5)
+    assert store.is_connected()
+
+
+def test_from_networkx_keeps_the_self_loop_check():
+    graph = nx.Graph([(0, 1), (1, 2)])
+    graph.add_edge(2, 2)
+    with pytest.raises(ValueError, match="self-loop"):
+        EdgeStore.from_networkx(graph)
+    with pytest.raises(ValueError, match="self-loop"):
+        NoHeal(seed=0).initialize(graph)

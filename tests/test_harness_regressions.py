@@ -9,14 +9,22 @@ Three distinct bugs are pinned here:
   that none of its anchor neighbours survived, inflating the summary row's
   step counters relative to the work actually replayed.
 * ``snapshot_every`` cadence/skip semantics on both entry points.
+
+A fourth class pins the materialization contract of both run loops: an
+``nx.Graph`` is built only for a metric snapshot or a read of
+``ExperimentResult.final_graph``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import networkx as nx
 import pytest
 
 from repro.adversary.base import AdversaryEvent, EventType
+from repro.analysis.trackers import MetricTimeline
+from repro.core.edgestore import EdgeStore
 from repro.core.xheal import Xheal
 from repro.harness.experiment import run_experiment, run_healer_on_trace
 from repro.scenarios.artifacts import replay_artifact, save_run
@@ -140,3 +148,94 @@ class TestSnapshotEvery:
         spec = _deletion_heavy_spec(snapshot_every=-1)
         with pytest.raises(Exception):
             spec.validate()
+
+
+class TestMaterializationContract:
+    @pytest.fixture
+    def materializations(self, monkeypatch):
+        """Count every ``EdgeStore.to_networkx`` call."""
+        calls: list[EdgeStore] = []
+        original = EdgeStore.to_networkx
+
+        def counted(store):
+            calls.append(store)
+            return original(store)
+
+        monkeypatch.setattr(EdgeStore, "to_networkx", counted)
+        return calls
+
+    @staticmethod
+    def _capturing(config):
+        """Return ``config`` with a healer factory that keeps its healers."""
+        healers = []
+
+        def factory():
+            healers.append(config.healer_factory())
+            return healers[-1]
+
+        return replace(config, healer_factory=factory), healers
+
+    def test_snapshot_free_runs_never_materialize(self, materializations):
+        spec = _deletion_heavy_spec(snapshot_every=0)
+        config = spec.validate().compile()
+        del materializations[:]
+        live = run_experiment(config)
+        assert live.timesteps_executed > 0
+        assert materializations == []
+        replayed = run_healer_on_trace(
+            Xheal(**spec.component_kwargs("healer")),
+            spec.build_initial_graph(),
+            live.trace,
+            kappa=spec.kappa,
+            adversary_name=live.adversary_name,
+            snapshot_every=0,
+        )
+        assert replayed.summary_row() == live.summary_row()
+        assert materializations == []
+
+    def test_final_graph_materializes_once_and_matches_a_healer_copy(self, materializations):
+        spec = _deletion_heavy_spec(
+            topology="racked-clos",
+            topology_kwargs={"racks": 3, "nodes_per_rack": 5},
+            adversary_kwargs={"delete_probability": 0.5},
+            snapshot_every=0,
+        )
+        config, healers = self._capturing(spec.validate().compile())
+        del materializations[:]
+        result = run_experiment(config)
+        assert result.insertions > 0 and result.deletions > 0
+        assert result.final_store is healers[0].graph_store
+        graph = result.final_graph
+        assert len(materializations) == 1
+        assert result.final_graph is graph
+        assert len(materializations) == 1
+        # What ``healer.graph.copy()`` gave before the result kept the store.
+        expected = healers[0].graph.copy()
+        assert list(graph.nodes(data=True)) == list(expected.nodes(data=True))
+        assert any(data.get("domain") for _, data in graph.nodes(data=True))
+        assert [list(graph.adj[node].items()) for node in graph] == [
+            list(expected.adj[node].items()) for node in expected
+        ]
+        assert any(data["owners"] for _, _, data in graph.edges(data=True))
+        assert result.connected == nx.is_connected(graph)
+
+    def test_snapshots_materialize_once_per_distinct_graph_version(
+        self, materializations, monkeypatch
+    ):
+        versions: list[int] = []
+        record = MetricTimeline.record
+
+        def recording(timeline, *args, **kwargs):
+            versions.append(kwargs["healed_version"])
+            return record(timeline, *args, **kwargs)
+
+        monkeypatch.setattr(MetricTimeline, "record", recording)
+        config, healers = self._capturing(
+            _deletion_heavy_spec(timesteps=22, metric_every=5).validate().compile()
+        )
+        del materializations[:]
+        run_experiment(config)
+        # Timeline snapshots at steps 5..20 plus the final trio at step 22.
+        distinct = set(versions) | {healers[0].graph_version}
+        assert len(versions) == 4 and len(distinct) == 5
+        assert len(materializations) == len(distinct)
