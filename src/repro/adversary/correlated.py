@@ -12,9 +12,16 @@ synthetic distributions.  Both land here as registry plugins:
 * ``trace-replay`` deterministically plays back a JSONL churn trace
   (:mod:`repro.adversary.traces`), preserving recorded batch boundaries —
   trace in, identical adversary out.
+
+``trace-replay`` is a file reader over :class:`RecordedAdversary`, the
+unregistered in-memory form that :func:`~repro.harness.sweeps.compare_healers`
+and artifact replay hand to :func:`~repro.harness.experiment.run_experiment`:
+a replay is a live run whose adversary plays back a recorded trace.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import networkx as nx
 
@@ -99,26 +106,33 @@ class DomainKillAdversary(Adversary):
         return (insertion,)
 
 
-@register_adversary("trace-replay")
-class TraceReplayAdversary(Adversary):
-    """Replay a recorded JSONL churn trace, batch boundaries included.
+class RecordedAdversary(Adversary):
+    """Play back an in-memory event sequence, batch boundaries included.
 
-    The trace (see :mod:`repro.adversary.traces`) is read once at
-    construction; each call to :meth:`next_events` returns the next recorded
-    batch, then ``None`` — the adversary is a pure function of the file, so
-    two runs over the same trace are byte-identical.  ``label`` overrides the
+    ``steps``, when given, parallels ``events`` with the timestep each event
+    belonged to (:attr:`~repro.harness.experiment.ExperimentResult.event_steps`);
+    consecutive events sharing a step form one atomic batch.  ``steps=None``
+    plays one event per timestep.  Each call to :meth:`next_events` returns
+    the next batch, then ``None``.  Replay is strict: the adversary never
+    inspects the graph, so an event that cannot apply fails the harness's
+    batch validation rather than being skipped.  ``label`` overrides the
     reported adversary name: pass the recording run's adversary so the
     replayed summary row matches the original bit for bit.
     """
 
-    name = "trace-replay"
+    name = "trace"
 
-    def __init__(self, path: str, label: str | None = None, seed: int = 0):
-        super().__init__(seed=seed)
-        self.path = str(path)
+    def __init__(
+        self,
+        events: Sequence[AdversaryEvent],
+        steps: Sequence[int | None] | None = None,
+        label: str | None = None,
+    ):
+        super().__init__()
         if label is not None:
             self.name = str(label)
-        events, steps = read_churn_trace(self.path)
+        if steps is None:
+            steps = [None] * len(events)
         self._batches = group_into_batches(events, steps)
         self._cursor = 0
 
@@ -128,3 +142,22 @@ class TraceReplayAdversary(Adversary):
         batch = self._batches[self._cursor]
         self._cursor += 1
         return batch
+
+
+@register_adversary("trace-replay")
+class TraceReplayAdversary(RecordedAdversary):
+    """Replay a recorded JSONL churn trace, batch boundaries included.
+
+    The trace (see :mod:`repro.adversary.traces`) is read once at
+    construction and played back by :class:`RecordedAdversary` — the
+    adversary is a pure function of the file, so two runs over the same
+    trace are byte-identical.  ``seed`` is accepted for the spec layer's
+    seed derivation; a replay draws no randomness.
+    """
+
+    name = "trace-replay"
+
+    def __init__(self, path: str, label: str | None = None, seed: int = 0):
+        self.path = str(path)
+        events, steps = read_churn_trace(self.path)
+        super().__init__(events, steps, label=label)

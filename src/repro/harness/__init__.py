@@ -1,4 +1,4 @@
-"""Experiment harness: workloads, the runner, sweeps and report printing.
+"""Experiment harness: workloads, the runner, healer comparisons and report printing.
 
 This is the layer the ``benchmarks/`` directory and the examples are built
 on.  A benchmark is: pick a workload (initial topology), an adversary, one or
@@ -18,13 +18,8 @@ from repro.harness.workloads import (
     two_cliques_workload,
     workload_by_name,
 )
-from repro.harness.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-    run_healer_on_trace,
-)
-from repro.harness.sweeps import SweepResult, compare_healers, sweep_healers, sweep_parameter
+from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.harness.sweeps import compare_healers
 from repro.harness.reporting import format_table, print_comparison, print_table
 
 __all__ = [
@@ -40,11 +35,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
-    "run_healer_on_trace",
-    "SweepResult",
     "compare_healers",
-    "sweep_healers",
-    "sweep_parameter",
     "format_table",
     "print_comparison",
     "print_table",

@@ -3,10 +3,14 @@
 The runner implements the model loop of Figure 1: at every timestep the
 adversary produces an insertion or a deletion, the ghost graph records it,
 the healer reacts, and the trackers/ledgers accumulate the Theorem 2 and
-Theorem 5 quantities.  The same adversarial *trace* can be replayed against
-several healers (``run_healer_on_trace``) so comparisons are apples-to-apples.
+Theorem 5 quantities.  :func:`run_experiment` is the only loop.  Replaying a
+recorded trace against another healer (for apples-to-apples comparisons, see
+:func:`repro.harness.sweeps.compare_healers`) or from a run artifact is a
+plain run whose adversary is a
+:class:`~repro.adversary.correlated.RecordedAdversary`, so live runs and
+replays agree on every config knob by construction.
 
-Both loops work on the healer's :class:`~repro.core.edgestore.EdgeStore` from
+The loop works on the healer's :class:`~repro.core.edgestore.EdgeStore` from
 start to finish.  An ``nx.Graph`` is built only for a metric snapshot or when
 a caller reads :attr:`ExperimentResult.final_graph`.
 """
@@ -126,7 +130,8 @@ class ExperimentResult:
     healer_extra: dict[str, object] = field(default_factory=dict)
     #: Parallel to ``trace``: the 1-based timestep each event belonged to.
     #: Batched adversaries put several events in one timestep; the churn-trace
-    #: exporter uses this to preserve the grouping.  Empty for flat replays.
+    #: exporter and :class:`~repro.adversary.correlated.RecordedAdversary`
+    #: use this to preserve the grouping.
     event_steps: list[int] = field(default_factory=list)
 
     @cached_property
@@ -239,8 +244,8 @@ def _ghost_full_snapshot(
     ``ghost_engine`` to each run lets the second and later healers fetch the
     Theorem-2 reference metrics from cache instead of recomputing them.  The
     cache key includes the node and edge counts next to the insertions-only
-    version counter, so runs whose ghosts diverged (defensively skipped
-    events) can never be served each other's values.
+    version counter, so runs whose ghosts diverged (different traces) can
+    never be served each other's values.
     """
     if ghost_engine is None:
         return engine.snapshot(ghost.graph, version=ghost.graph_version, label="ghost_full")
@@ -260,47 +265,6 @@ def _ghost_full_snapshot(
         ("combinatorial", "ghost_full"), ghost.graph_version, metrics.algebraic_connectivity
     )
     return metrics
-
-
-def _finish_run(
-    healer: SelfHealer,
-    ghost: GhostGraph,
-    engine: MetricsEngine,
-    ghost_engine: MetricsEngine | None,
-    kappa: int,
-    snapshot_every: int | None,
-    **fields,
-) -> ExperimentResult:
-    """Take the final Theorem-2 snapshot trio and package the run.
-
-    ``snapshot_every == 0`` skips the trio.  The result keeps the healer's
-    store, not a graph copy; ``fields`` are the loop's remaining
-    :class:`ExperimentResult` fields.
-    """
-    final_metrics = ghost_metrics = final_verdict = None
-    if snapshot_every != 0:
-        final_metrics = engine.snapshot(
-            healer.graph,
-            ghost=ghost.alive_subgraph(),
-            version=healer.graph_version,
-            ghost_version=ghost.version,
-            label="healed",
-        )
-        ghost_metrics = _ghost_full_snapshot(engine, ghost, ghost_engine)
-        final_verdict = engine.check_theorem2(
-            healer.graph, ghost, kappa=kappa, healed_version=healer.graph_version
-        )
-    return ExperimentResult(
-        healer_name=healer.name,
-        final_store=healer.graph_store,
-        ghost=ghost,
-        final_metrics=final_metrics,
-        ghost_metrics=ghost_metrics,
-        final_verdict=final_verdict,
-        cache_stats=engine.cache_stats(),
-        healer_extra=healer.extra_summary(),
-        **fields,
-    )
 
 
 def run_experiment(
@@ -393,122 +357,38 @@ def run_experiment(
                 )
             )
 
-    return _finish_run(
-        healer,
-        ghost,
-        engine,
-        ghost_engine,
-        config.kappa,
-        config.snapshot_every,
+    # The final Theorem-2 snapshot trio; ``snapshot_every == 0`` skips it.
+    final_metrics = ghost_metrics = final_verdict = None
+    if config.snapshot_every != 0:
+        final_metrics = engine.snapshot(
+            healer.graph,
+            ghost=ghost.alive_subgraph(),
+            version=healer.graph_version,
+            ghost_version=ghost.version,
+            label="healed",
+        )
+        ghost_metrics = _ghost_full_snapshot(engine, ghost, ghost_engine)
+        final_verdict = engine.check_theorem2(
+            healer.graph, ghost, kappa=config.kappa, healed_version=healer.graph_version
+        )
+    return ExperimentResult(
+        healer_name=healer.name,
         adversary_name=adversary.name,
         timesteps_executed=executed,
         insertions=insertions,
         deletions=deletions,
+        final_store=healer.graph_store,
+        ghost=ghost,
+        final_metrics=final_metrics,
+        ghost_metrics=ghost_metrics,
+        final_verdict=final_verdict,
         timeline=timeline,
         cost_summary=ledger.summary(),
         worst_degree_ratio=degree_tracker.max_ratio_seen,
         trace=trace,
         intermediate_verdicts=verdicts,
+        cache_stats=engine.cache_stats(),
+        healer_extra=healer.extra_summary(),
         event_steps=event_steps,
     )
 
-
-def run_healer_on_trace(
-    healer: SelfHealer,
-    initial_graph: nx.Graph,
-    trace: Sequence[AdversaryEvent],
-    kappa: int = 4,
-    exact_expansion_limit: int = 22,
-    stretch_sample_pairs: int | None = 100,
-    seed: int = 0,
-    adversary_name: str = "trace",
-    ghost_engine: MetricsEngine | None = None,
-    snapshot_every: int | None = None,
-) -> ExperimentResult:
-    """Replay a fixed adversarial trace against ``healer`` (for fair comparisons).
-
-    The trace is typically taken from a previous :func:`run_experiment` result
-    so that several healers face exactly the same insertions and deletions.
-    Events naming nodes absent from the healer's graph are skipped defensively
-    (can only happen when a prior healer lost connectivity and the trace was
-    generated adaptively).
-
-    ``seed`` seeds the metrics engine's sampled estimators — pass the original
-    run's ``config.seed`` to make a replay reproduce its measurements exactly.
-    ``adversary_name`` labels the result's summary row (artifact replays pass
-    the original adversary name so the replayed row matches byte for byte).
-    ``ghost_engine`` optionally shares the full-ghost metric cache across
-    healers replaying the same trace (see
-    :func:`repro.harness.sweeps.compare_healers`).  ``snapshot_every``
-    mirrors :attr:`ExperimentConfig.snapshot_every` so replays of
-    snapshot-skipping runs reproduce their rows exactly.
-    """
-    healer.initialize(initial_graph)
-    ghost = GhostGraph(initial_graph)
-    ledger = CostLedger(kappa=kappa)
-    degree_tracker = DegreeRatioTracker(kappa=kappa)
-    engine = MetricsEngine(
-        exact_limit=exact_expansion_limit,
-        stretch_sample_pairs=stretch_sample_pairs,
-        seed=seed,
-    )
-    timeline = MetricTimeline(
-        exact_limit=exact_expansion_limit,
-        stretch_sample_pairs=stretch_sample_pairs,
-        engine=engine,
-    )
-    insertions = 0
-    deletions = 0
-    executed = 0
-
-    store = healer.graph_store
-    degree_tracker.attach_store(store, ghost)
-
-    for event in trace:
-        if event.is_deletion and event.node not in store:
-            continue
-        if event.is_insertion and event.node in store:
-            continue
-        if event.is_insertion:
-            neighbors = tuple(node for node in event.neighbors if node in store)
-            if not neighbors:
-                # All anchors are gone: the event cannot be applied, so it
-                # must not count as executed either (it would inflate the
-                # summary row's step counters relative to the work done).
-                continue
-            executed += 1
-            insertions += 1
-            ghost.record_insertion(event.node, neighbors)
-            healer.handle_insertion(event.node, neighbors)
-            degree_tracker.record_insertion(event.node, neighbors)
-        else:
-            executed += 1
-            deletions += 1
-            black_degree = ghost.degree(event.node)
-            ghost.record_deletion(event.node)
-            report = healer.handle_deletion(event.node)
-            ledger.record_deletion(
-                deleted=event.node,
-                black_degree=black_degree,
-                messages=report.messages if report.messages else report.total_edge_changes,
-                rounds=report.rounds,
-                network_size=store.number_of_nodes(),
-            )
-        degree_tracker.observe_store()
-
-    return _finish_run(
-        healer,
-        ghost,
-        engine,
-        ghost_engine,
-        kappa,
-        snapshot_every,
-        adversary_name=adversary_name,
-        timesteps_executed=executed,
-        insertions=insertions,
-        deletions=deletions,
-        timeline=timeline,
-        cost_summary=ledger.summary(),
-        worst_degree_ratio=degree_tracker.max_ratio_seen,
-        trace=list(trace),
-    )

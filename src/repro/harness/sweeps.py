@@ -1,129 +1,21 @@
-"""Parameter sweeps built on top of the experiment runner.
+"""Healer comparisons on one shared adversarial trace.
 
-For declarative, serializable, parallelizable sweeps prefer
+For parameter sweeps use the declarative
 :class:`repro.scenarios.sweep.SweepSpec` +
-:func:`repro.scenarios.runner.run_scenarios` — the functions here remain as
-the thin imperative layer they compile down to, plus
+:func:`repro.scenarios.runner.run_scenarios`.  This module keeps
 :func:`compare_healers`, the shared-trace/shared-ghost-metrics comparison
-harness.
+harness, and :func:`healer_factory`, the registry shortcut its callers use.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
-from repro.adversary.base import Adversary
 from repro.core.healer import SelfHealer
-from repro.harness.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-    run_healer_on_trace,
-)
+from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.perf.engine import MetricsEngine
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """One point of a parameter sweep.
-
-    ``wall_clock_s`` mirrors the scenario layer's per-point cost column: the
-    measured execution time of this point, surfaced in :meth:`row` so
-    imperative sweeps can also be cost-profiled.
-    """
-
-    label: str
-    parameter: object
-    result: ExperimentResult
-    wall_clock_s: float | None = None
-
-    def row(self) -> dict[str, object]:
-        """Return the experiment's summary row augmented with the sweep parameter."""
-        row = {"sweep": self.label, "parameter": self.parameter}
-        row.update(self.result.summary_row())
-        if self.wall_clock_s is not None:
-            row["wall_clock_s"] = self.wall_clock_s
-        return row
-
-
-def sweep_parameter(
-    base_config: ExperimentConfig,
-    label: str,
-    values: Sequence[object],
-    configure: Callable[[ExperimentConfig, object], ExperimentConfig],
-    on_result: Callable[[SweepResult], None] | None = None,
-    collect: bool = True,
-) -> list[SweepResult]:
-    """Run the experiment once per parameter value.
-
-    ``configure(config, value)`` returns the config to use for that value
-    (typically built with :func:`dataclasses.replace`).
-
-    ``on_result`` fires after each point completes — the streaming hook for
-    long sweeps (persist the row, drop the graphs).  With ``collect=False``
-    nothing is buffered and the returned list is empty; an
-    :class:`~repro.harness.experiment.ExperimentResult` holds whole graphs,
-    so buffering thousands of them is exactly what the scenario layer's
-    ``stream_to`` mode exists to avoid.
-    """
-    results: list[SweepResult] = []
-    for value in values:
-        config = configure(base_config, value)
-        start = time.perf_counter()
-        result = run_experiment(config)
-        point = SweepResult(
-            label=label,
-            parameter=value,
-            result=result,
-            wall_clock_s=time.perf_counter() - start,
-        )
-        if on_result is not None:
-            on_result(point)
-        if collect:
-            results.append(point)
-    return results
-
-
-def sweep_healers(
-    base_config: ExperimentConfig,
-    healers: Mapping[str, Callable[[], SelfHealer]],
-    adversary_factory: Callable[[], Adversary] | None = None,
-    on_result: Callable[[SweepResult], None] | None = None,
-    collect: bool = True,
-) -> list[SweepResult]:
-    """Run the same experiment once per healer (each against a fresh adversary).
-
-    Adversaries are deterministic given their seed, so every healer faces the
-    same strategy; healers that change the topology differently may still see
-    different adaptive choices, which is the model's intent (the adversary is
-    omniscient about topology).  For strictly identical traces use
-    :func:`repro.harness.experiment.run_healer_on_trace`.
-
-    ``on_result``/``collect`` stream points as they finish, as in
-    :func:`sweep_parameter`.
-    """
-    results: list[SweepResult] = []
-    for name, factory in healers.items():
-        config = replace(
-            base_config,
-            healer_factory=factory,
-            adversary_factory=adversary_factory or base_config.adversary_factory,
-        )
-        start = time.perf_counter()
-        result = run_experiment(config)
-        point = SweepResult(
-            label="healer",
-            parameter=name,
-            result=result,
-            wall_clock_s=time.perf_counter() - start,
-        )
-        if on_result is not None:
-            on_result(point)
-        if collect:
-            results.append(point)
-    return results
 
 
 def healer_factory(name: str, **kwargs) -> Callable[[], SelfHealer]:
@@ -146,8 +38,11 @@ def compare_healers(
     """Replay one adversarial trace against several healers, apples-to-apples.
 
     The first healer runs live against ``base_config``'s adversary; every
-    other healer replays the exact trace it produced (the standard
-    comparison pattern of the examples and benchmarks).
+    other healer is a plain :func:`run_experiment` whose adversary is a
+    :class:`~repro.adversary.correlated.RecordedAdversary` playing back the
+    exact trace it produced, batch boundaries included, and labelled with
+    the reference's adversary name.  Every other config knob (metric and
+    invariant cadences, snapshots, fidelity, seed) carries over unchanged.
 
     All runs share one full-ghost metrics cache: the ghost graph ``G'_t`` is
     a pure function of the insertion sequence, so replaying the same trace
@@ -155,6 +50,10 @@ def compare_healers(
     metrics are computed once (by the first run) and served from cache for
     the rest instead of being recomputed per healer.
     """
+    # Imported here: the adversary package reaches back into the harness
+    # through repro.scenarios.runner, so a module-level import would cycle.
+    from repro.adversary.correlated import RecordedAdversary
+
     factories = list(healers.values()) if isinstance(healers, Mapping) else list(healers)
     if not factories:
         return []
@@ -166,18 +65,14 @@ def compare_healers(
     reference = run_experiment(
         replace(base_config, healer_factory=factories[0]), ghost_engine=ghost_engine
     )
-    results = [reference]
-    for factory in factories[1:]:
-        results.append(
-            run_healer_on_trace(
-                factory(),
-                base_config.initial_graph,
-                reference.trace,
-                kappa=base_config.kappa,
-                exact_expansion_limit=base_config.exact_expansion_limit,
-                stretch_sample_pairs=base_config.stretch_sample_pairs,
-                seed=base_config.seed,
-                ghost_engine=ghost_engine,
-            )
+    recorded = partial(
+        RecordedAdversary, reference.trace, reference.event_steps, label=reference.adversary_name
+    )
+    challengers = [
+        run_experiment(
+            replace(base_config, healer_factory=factory, adversary_factory=recorded),
+            ghost_engine=ghost_engine,
         )
-    return results
+        for factory in factories[1:]
+    ]
+    return [reference, *challengers]

@@ -9,13 +9,16 @@ An artifact is one JSONL file describing one run completely::
     {"kind": "cache_stats", "data": {...engine counters...}}
 
 The spec says *how* the run was produced; the event lines say *what* the
-adversary did.  Replay therefore does not need the adversary at all: it
-rebuilds the healer and the initial topology from the spec and pushes the
-recorded trace through
-:func:`~repro.harness.experiment.run_healer_on_trace`, which reproduces the
-original ``summary_row()`` exactly (same metric fidelity, same engine seed;
-on the dense spectral path, n <= sparse_threshold, the computation is
-bitwise deterministic).
+adversary did.  Replay therefore does not need the original adversary at
+all: it compiles the spec and runs it through
+:func:`~repro.harness.experiment.run_experiment` with a
+:class:`~repro.adversary.correlated.RecordedAdversary` playing back the
+recorded events, which reproduces the original ``summary_row()`` exactly
+(same metric fidelity, same engine seed; on the dense spectral path,
+n <= sparse_threshold, the computation is bitwise deterministic).  Event
+lines carry no timestep, so a batched run replays one event per timestep;
+the summary row does not depend on batch boundaries.  Replay is strict: an
+event that cannot apply raises a ``ValidationError`` naming the node.
 
 Artifacts may be gzip-compressed (``.jsonl.gz``) for million-point sweep
 directories.  Compression is an encoding of the same bytes, never a
@@ -33,7 +36,8 @@ from __future__ import annotations
 import gzip
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 #: The two magic bytes every gzip stream starts with (RFC 1952).
@@ -44,9 +48,8 @@ GZIP_MAGIC = b"\x1f\x8b"
 #: identical inputs (level 6 is zlib's speed/size sweet spot for JSONL).
 GZIP_LEVEL = 6
 
-from repro.harness.experiment import ExperimentResult, run_healer_on_trace
-from repro.scenarios.registry import HEALERS
-from repro.scenarios.runner import RunRecord, event_from_dict
+from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.scenarios.runner import RunRecord
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.validation import require
 
@@ -212,23 +215,25 @@ class ReplayReport:
 def replay_artifact(path: str | Path) -> ReplayReport:
     """Re-execute the run persisted at ``path`` and compare summaries.
 
-    The healer and initial topology are rebuilt from the artifact's spec
-    (same derived seeds), and the recorded adversarial trace is replayed
-    through :func:`run_healer_on_trace` with the spec's metric fidelity and
-    engine seed — the exact inputs of the original run.
+    The artifact's spec is compiled as-is — same healer, topology, metric
+    fidelity, cadences and engine seed — and only the adversary is swapped
+    for a :class:`~repro.adversary.correlated.RecordedAdversary` playing back
+    the recorded events one per timestep, labelled with the recorded
+    adversary name.  ``timesteps`` becomes the event count, so a batched
+    run, which has more events than timesteps, replays in full.
     """
+    # Imported here: the adversary package reaches back into the harness
+    # through repro.scenarios.runner, so a module-level import would cycle.
+    from repro.adversary.correlated import RecordedAdversary
+
     record = load_run(path)
-    spec = record.spec.validate()
-    healer = HEALERS.get(spec.healer)(**spec.component_kwargs("healer"))
-    result = run_healer_on_trace(
-        healer,
-        spec.build_initial_graph(),
-        record.events(),
-        kappa=spec.kappa,
-        exact_expansion_limit=spec.exact_expansion_limit,
-        stretch_sample_pairs=spec.stretch_sample_pairs,
-        seed=spec.seed,
-        adversary_name=str(record.summary.get("adversary", "trace")),
-        snapshot_every=spec.snapshot_every,
+    events = record.events()
+    config = replace(
+        record.spec.compile(),
+        adversary_factory=partial(
+            RecordedAdversary, events, label=record.summary.get("adversary")
+        ),
+        timesteps=max(1, len(events)),
     )
+    result = run_experiment(config)
     return ReplayReport(record=record, result=result, replayed_summary=dict(result.summary_row()))

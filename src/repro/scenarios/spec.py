@@ -298,11 +298,13 @@ class ScenarioSpec:
         """Re-execute a persisted run artifact bit-identically.
 
         Loads the spec and adversarial trace from the JSONL artifact at
-        ``path``, rebuilds the healer and initial topology, replays the trace
-        through :func:`~repro.harness.experiment.run_healer_on_trace` and
-        returns a :class:`~repro.scenarios.artifacts.ReplayReport` whose
-        ``identical`` flag compares the replayed ``summary_row()`` against
-        the recorded one.
+        ``path``, runs the compiled spec through
+        :func:`~repro.harness.experiment.run_experiment` with the recorded
+        trace as its adversary (see
+        :func:`~repro.scenarios.artifacts.replay_artifact`) and returns a
+        :class:`~repro.scenarios.artifacts.ReplayReport` whose ``identical``
+        flag compares the replayed ``summary_row()`` against the recorded
+        one.  An event that cannot apply raises a ``ValidationError``.
         """
         from repro.scenarios.artifacts import replay_artifact
 

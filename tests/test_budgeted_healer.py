@@ -11,11 +11,15 @@ artifact replay, and ``repro report`` untouched.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import networkx as nx
 import pytest
 
+from repro.adversary.correlated import RecordedAdversary
 from repro.core.budget import BudgetedHealer
-from repro.harness.experiment import run_experiment, run_healer_on_trace
+from repro.harness.experiment import run_experiment
 from repro.scenarios.registry import HEALERS
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.validation import ValidationError
@@ -158,16 +162,15 @@ def test_budgeted_replay_reproduces_the_run_including_extra_columns():
     )
     config = spec.compile()
     original = run_experiment(config)
-    healer = HEALERS.get(spec.healer)(**spec.component_kwargs("healer"))
-    replayed = run_healer_on_trace(
-        healer,
-        spec.build_initial_graph(),
-        original.trace,
-        kappa=spec.kappa,
-        exact_expansion_limit=spec.exact_expansion_limit,
-        stretch_sample_pairs=spec.stretch_sample_pairs,
-        seed=spec.seed,
-        adversary_name=original.adversary_name,
+    # Flat replay (one event per timestep), as artifact replay does.
+    replayed = run_experiment(
+        replace(
+            config,
+            adversary_factory=partial(
+                RecordedAdversary, original.trace, label=original.adversary_name
+            ),
+            timesteps=len(original.trace),
+        )
     )
     assert replayed.summary_row() == original.summary_row()
     assert replayed.healer_extra == original.healer_extra

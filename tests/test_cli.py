@@ -290,6 +290,25 @@ def test_replay_missing_artifact_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_replay_of_an_event_that_cannot_apply_exits_two_naming_the_node(
+    spec_file, tmp_path, capsys
+):
+    artifact = tmp_path / "run.jsonl"
+    assert cli_main(["run", str(spec_file), "--artifact", str(artifact)]) == 0
+    capsys.readouterr()
+    lines = artifact.read_text().splitlines()
+    first_event = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "event")
+    lines[first_event] = json.dumps(
+        {"kind": "event", "data": {"type": "delete", "node": 999, "neighbors": []}},
+        sort_keys=True,
+    )
+    artifact.write_text("\n".join(lines) + "\n")
+    assert cli_main(["replay", str(artifact)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "999" in err
+    assert "Traceback" not in err
+
+
 def test_run_replay_roundtrip_including_compressed_artifact(spec_file, tmp_path, capsys):
     artifact = tmp_path / "run.jsonl.gz"
     assert cli_main(["run", str(spec_file), "--artifact", str(artifact)]) == 0

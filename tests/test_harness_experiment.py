@@ -1,16 +1,17 @@
-"""Tests for the experiment runner and sweeps."""
+"""Tests for the experiment runner and trace replay."""
 
 from dataclasses import replace
+from functools import partial
 
 import networkx as nx
 import pytest
 
 from repro.adversary import DeletionOnlyAdversary, RandomAdversary, ScriptedAdversary
+from repro.adversary.correlated import RecordedAdversary
 from repro.baselines import ForgivingTreeHeal, NoHeal
 from repro.core.xheal import Xheal
-from repro.harness.experiment import ExperimentConfig, run_experiment, run_healer_on_trace
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.reporting import format_series, format_table, print_comparison, print_table
-from repro.harness.sweeps import sweep_healers, sweep_parameter
 from repro.harness.workloads import random_regular_workload
 from repro.util.validation import ValidationError
 
@@ -64,61 +65,40 @@ def test_summary_row_keys():
         assert key in row
 
 
-def test_run_healer_on_trace_replays_identically():
+def test_recorded_trace_replays_identically():
     first = run_experiment(base_config())
-    replay = run_healer_on_trace(
-        Xheal(kappa=4, seed=1),
-        base_config().initial_graph,
-        first.trace,
-        kappa=4,
-        exact_expansion_limit=14,
+    replay = run_experiment(
+        base_config(adversary_factory=partial(RecordedAdversary, first.trace))
     )
     assert replay.deletions == first.deletions
     assert replay.final_graph.number_of_nodes() == first.final_graph.number_of_nodes()
 
 
-def test_run_healer_on_trace_with_baseline():
+def test_recorded_trace_replay_with_baseline():
     source = run_experiment(base_config(timesteps=8))
-    result = run_healer_on_trace(
-        ForgivingTreeHeal(seed=0), base_config().initial_graph, source.trace, kappa=4
+    result = run_experiment(
+        base_config(
+            healer_factory=lambda: ForgivingTreeHeal(seed=0),
+            adversary_factory=partial(RecordedAdversary, source.trace),
+        )
     )
     assert result.healer_name == "forgiving-tree"
     assert result.deletions == source.deletions
 
 
 def test_trace_skips_impossible_events():
-    # A trace deleting the same node twice: the second deletion must be skipped.
+    # A trace deleting the same node twice: replay is strict, so the second
+    # deletion fails validation (naming the node) instead of being skipped.
     from repro.adversary.base import AdversaryEvent, EventType
 
     trace = [AdversaryEvent(EventType.DELETE, 0), AdversaryEvent(EventType.DELETE, 0)]
-    result = run_healer_on_trace(NoHeal(), random_regular_workload(10, 4, seed=1), trace)
-    assert result.deletions == 1
-
-
-def test_sweep_parameter_over_kappa():
-    sweep = sweep_parameter(
-        base_config(timesteps=5),
-        label="kappa",
-        values=[2, 4],
-        configure=lambda config, kappa: replace(
-            config, healer_factory=lambda: Xheal(kappa=kappa, seed=1), kappa=kappa
-        ),
+    config = base_config(
+        healer_factory=NoHeal,
+        adversary_factory=partial(RecordedAdversary, trace),
+        initial_graph=random_regular_workload(10, 4, seed=1),
     )
-    assert len(sweep) == 2
-    assert sweep[0].row()["parameter"] == 2
-    assert all(point.result.connected for point in sweep)
-
-
-def test_sweep_healers_compares_algorithms():
-    sweep = sweep_healers(
-        base_config(timesteps=6),
-        healers={
-            "xheal": lambda: Xheal(kappa=4, seed=1),
-            "no-heal": lambda: NoHeal(),
-        },
-    )
-    names = {point.result.healer_name for point in sweep}
-    assert names == {"xheal", "no-heal"}
+    with pytest.raises(ValidationError, match="unknown node 0$"):
+        run_experiment(config)
 
 
 def test_reporting_table_and_series_rendering(capsys):

@@ -5,12 +5,13 @@ Three distinct bugs are pinned here:
 * ``run_experiment`` used to pass ``rounds=0`` to the cost ledger instead of
   the repair report's round estimate, so live runs reported zero repair
   rounds while trace replays of the very same events reported the true ones.
-* ``run_healer_on_trace`` counted an insertion as executed before discovering
-  that none of its anchor neighbours survived, inflating the summary row's
-  step counters relative to the work actually replayed.
-* ``snapshot_every`` cadence/skip semantics on both entry points.
+* Trace replay counted an insertion as executed before discovering that
+  none of its anchor neighbours survived, inflating the summary row's step
+  counters relative to the work actually replayed.  Replay is now strict:
+  such an insertion fails validation and nothing is counted.
+* ``snapshot_every`` cadence/skip semantics on live runs and replays.
 
-A fourth class pins the materialization contract of both run loops: an
+A fourth class pins the materialization contract of the run loop: an
 ``nx.Graph`` is built only for a metric snapshot or a read of
 ``ExperimentResult.final_graph``.
 """
@@ -18,18 +19,21 @@ A fourth class pins the materialization contract of both run loops: an
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import networkx as nx
 import pytest
 
 from repro.adversary.base import AdversaryEvent, EventType
+from repro.adversary.correlated import RecordedAdversary
 from repro.analysis.trackers import MetricTimeline
 from repro.core.edgestore import EdgeStore
 from repro.core.xheal import Xheal
-from repro.harness.experiment import run_experiment, run_healer_on_trace
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.scenarios.artifacts import replay_artifact, save_run
 from repro.scenarios.runner import RunRecord
 from repro.scenarios.spec import ScenarioSpec
+from repro.util.validation import ValidationError
 
 
 def _deletion_heavy_spec(**overrides) -> ScenarioSpec:
@@ -61,14 +65,8 @@ class TestRepairRoundAccounting:
         spec = _deletion_heavy_spec()
         config = spec.validate().compile()
         live = run_experiment(config)
-        replayed = run_healer_on_trace(
-            Xheal(**spec.component_kwargs("healer")),
-            spec.build_initial_graph(),
-            live.trace,
-            kappa=spec.kappa,
-            exact_expansion_limit=spec.exact_expansion_limit,
-            stretch_sample_pairs=spec.stretch_sample_pairs,
-            seed=spec.seed,
+        replayed = run_experiment(
+            replace(config, adversary_factory=partial(RecordedAdversary, live.trace))
         )
         assert live.cost_summary.max_rounds == replayed.cost_summary.max_rounds
         assert live.cost_summary.mean_rounds == replayed.cost_summary.mean_rounds
@@ -82,18 +80,18 @@ class TestTraceReplaySkipCounting:
             AdversaryEvent(EventType.INSERT, 10, (99,)),  # anchor never existed
             AdversaryEvent(EventType.INSERT, 11, (0, 1)),
         ]
-        result = run_healer_on_trace(
-            Xheal(kappa=2, seed=0),
-            initial,
-            trace,
+        config = ExperimentConfig(
+            healer_factory=lambda: Xheal(kappa=2, seed=0),
+            adversary_factory=partial(RecordedAdversary, trace),
+            initial_graph=initial,
             kappa=2,
             exact_expansion_limit=0,
             stretch_sample_pairs=None,
         )
-        assert result.timesteps_executed == 1
-        assert result.insertions == 1
-        assert not result.final_graph.has_node(10)
-        assert result.final_graph.has_node(11)
+        # Strict replay: the dangling anchor fails validation up front,
+        # naming the node, before anything is applied or counted.
+        with pytest.raises(ValidationError, match="neighbor 99 not in the network"):
+            run_experiment(config)
 
     def test_artifact_replay_of_undegraded_run_is_byte_identical(self, tmp_path):
         spec = _deletion_heavy_spec(timesteps=15)
@@ -182,13 +180,13 @@ class TestMaterializationContract:
         live = run_experiment(config)
         assert live.timesteps_executed > 0
         assert materializations == []
-        replayed = run_healer_on_trace(
-            Xheal(**spec.component_kwargs("healer")),
-            spec.build_initial_graph(),
-            live.trace,
-            kappa=spec.kappa,
-            adversary_name=live.adversary_name,
-            snapshot_every=0,
+        replayed = run_experiment(
+            replace(
+                config,
+                adversary_factory=partial(
+                    RecordedAdversary, live.trace, label=live.adversary_name
+                ),
+            )
         )
         assert replayed.summary_row() == live.summary_row()
         assert materializations == []

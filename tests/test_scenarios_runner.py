@@ -61,7 +61,7 @@ def test_artifact_save_load_replay_identical(tmp_path):
     report = replay_artifact(path)
     assert report.identical, report.differences()
     # The replayed result is a real ExperimentResult driven through
-    # run_healer_on_trace with the original adversary label.
+    # run_experiment with the original adversary label.
     assert report.result.adversary_name == record.summary["adversary"]
     assert report.result.summary_row() == record.summary
 
@@ -91,6 +91,8 @@ def test_compare_healers_shares_ghost_metrics():
     ]
     results = compare_healers(config, factories)
     assert [r.healer_name for r in results] == ["xheal", "forgiving-tree", "line-heal"]
+    # Every challenger faced the reference's adversary and is labelled so.
+    assert [r.adversary_name for r in results] == ["random"] * 3
     # Same trace -> identical full-ghost reference metrics for every healer.
     reference_ghost = results[0].ghost_metrics
     for result in results[1:]:
