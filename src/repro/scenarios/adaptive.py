@@ -391,12 +391,10 @@ class AdaptiveResult:
 class _RoundRunner:
     """Shared plumbing both schedules drive: execute rounds, read summaries."""
 
-    def __init__(self, sweep, directory, workers, max_pending, compress,
-                 policy, retry_failed, executor):
+    def __init__(self, sweep, directory, workers, compress, policy, retry_failed, executor):
         self.sweep = sweep
         self.directory = Path(directory)
         self.workers = workers
-        self.max_pending = max_pending
         self.compress = compress
         self.policy = policy if policy is not None else sweep.policy
         self.retry_failed = retry_failed
@@ -421,7 +419,6 @@ class _RoundRunner:
             result = run_scenarios(
                 specs,
                 workers=self.workers,
-                max_pending=self.max_pending,
                 resume=self.directory,
                 compress=self.compress,
                 policy=self.policy,
@@ -627,7 +624,6 @@ def run_adaptive(
     sweep: SweepSpec,
     directory: str | Path,
     workers: int = 1,
-    max_pending: int | None = None,
     compress: bool | None = None,
     policy=None,
     retry_failed: bool = False,
@@ -671,9 +667,7 @@ def run_adaptive(
         from repro.scenarios.stream import SweepStream
 
         prior = set(SweepStream(directory).completed())
-    runner = _RoundRunner(
-        sweep, directory, workers, max_pending, compress, policy, retry_failed, executor
-    )
+    runner = _RoundRunner(sweep, directory, workers, compress, policy, retry_failed, executor)
     if adaptive.mode == "stopping":
         rule = adaptive.stopping
         ledger, specs = _run_stopping(runner, rule, on_round)

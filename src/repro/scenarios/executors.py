@@ -16,12 +16,15 @@ Three ship built in:
   is active the backend delegates to the process pool instead, because
   timeouts are enforced by killing the overrunning worker and an injected
   crash fault must not take down the coordinating process.
-* ``process-pool`` — the classic :class:`concurrent.futures
-  .ProcessPoolExecutor` loop (crash recovery, timeout kills, deterministic
-  retry backoff, quarantine), unchanged semantics.
+* ``process-pool`` — a local :class:`concurrent.futures
+  .ProcessPoolExecutor` (:func:`~repro.scenarios.runner._run_pooled`).
 * ``subprocess-fleet`` (:mod:`repro.scenarios.fleet`) — a coordinator
   leasing long-lived worker subprocesses over a JSONL pipe protocol; each
   worker writes its own ``index-<worker>.jsonl`` shard.
+
+The pool and the fleet are transports over one
+:class:`~repro.scenarios.policy.PointScheduler`, which owns retries,
+backoff, deadlines and quarantine for both.
 
 Every backend produces byte-identical artifacts for the same spec list —
 execution placement is operational, never part of a point's identity — so
@@ -48,9 +51,9 @@ class ExecutionContext:
 
     ``indices`` selects the points of ``spec_list`` to execute (a resume
     passes only the missing ones).  ``on_complete(index, payload, attempt)``
-    fires per finished point — the payload is a
-    :class:`~repro.scenarios.runner.RunRecord` when ``timed`` is false and a
-    ``(record, wall_clock_s)`` pair when true — and may raise
+    fires per finished point — the payload is a ``(record, wall_clock_s)``
+    pair: the :class:`~repro.scenarios.runner.RunRecord` and the seconds the
+    point took, measured where it ran — and may raise
     :class:`~repro.scenarios.chaos.PointFault` to convert a delivered result
     into a per-point failure.  ``on_quarantine(index, attempts, error)``
     receives points that exhausted ``policy.max_retries``; when it is
@@ -63,9 +66,7 @@ class ExecutionContext:
     spec_list: Sequence
     indices: Sequence[int]
     workers: int
-    max_pending: int | None
     policy: PointPolicy
-    timed: bool
     on_complete: Callable
     on_quarantine: Callable | None = None
     stream: object | None = None
@@ -102,39 +103,30 @@ class SerialExecutor:
 
     def execute(self, ctx: ExecutionContext) -> None:
         from repro.scenarios.chaos import active_chaos
-        from repro.scenarios.runner import execute_spec, execute_spec_timed
+        from repro.scenarios.runner import execute_spec_timed
 
         if ctx.policy.active or active_chaos() is not None:
             ProcessPoolBackend().execute(replace(ctx, stream=None))
             return
-        fn = execute_spec_timed if ctx.timed else execute_spec
         for index in ctx.indices:
-            ctx.on_complete(index, fn(ctx.spec_list[index]), 0)
+            ctx.on_complete(index, execute_spec_timed(ctx.spec_list[index]), 0)
 
 
 @register_executor("process-pool", aliases=("pool", "multiprocess"))
 class ProcessPoolBackend:
     """Fan points out over a local :class:`ProcessPoolExecutor`.
 
-    The parent stays the only stream writer: workers return ``RunRecord``
-    payloads over the pool's result pipe and the coordinator appends to the
-    single ``index.jsonl``.  Survives worker death (pool respawn, culprit
-    charged, innocents re-queued free), enforces ``policy.timeout_s`` by
-    killing the pool, and retries with the deterministic backoff schedule.
+    The parent stays the only stream writer: workers return
+    ``(RunRecord, wall_clock_s)`` payloads over the pool's result pipe and
+    the coordinator appends to the single ``index.jsonl``.  Survives worker
+    death (pool respawn, likely culprits charged, the rest re-queued free)
+    and enforces ``policy.timeout_s`` by killing the pool; retries and
+    quarantine follow the shared scheduler.
     """
 
     name = "process-pool"
 
     def execute(self, ctx: ExecutionContext) -> None:
-        from repro.scenarios.runner import _run_pooled, execute_point, execute_point_timed
+        from repro.scenarios.runner import _run_pooled
 
-        _run_pooled(
-            ctx.spec_list,
-            ctx.indices,
-            max(1, ctx.workers),
-            ctx.max_pending,
-            ctx.on_complete,
-            fn=execute_point_timed if ctx.timed else execute_point,
-            policy=ctx.policy,
-            on_quarantine=ctx.on_quarantine,
-        )
+        _run_pooled(ctx)

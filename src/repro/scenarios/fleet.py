@@ -5,28 +5,32 @@ A coordinator leases N long-lived worker subprocesses (each running
 each over its stdin/stdout pipe pair::
 
     coordinator -> worker   {"op": "run", "index": 3, "attempt": 0,
-                             "spec": {...}, "timed": true,
+                             "spec": {...},
                              "stream": {"directory": "...", "compress": false,
                                         "shard": "w0"}}
     worker -> coordinator   {"op": "ready"}
                             {"op": "done", "index": 3, "attempt": 0,
                              "entry": {...}}            (streamed runs)
                             {"op": "done", "index": 3, "attempt": 0,
-                             "record": {...}}           (buffered runs)
+                             "record": {...},
+                             "wall_clock_s": 0.12}      (buffered runs)
                             {"op": "error", "index": 3, "attempt": 0,
                              "error": "ChaosError('...')"}
     coordinator -> worker   {"op": "shutdown"}
 
-Each lease holds at most one in-flight point and moves through the health
-states ``leased`` (spawned, awaiting its ready line) → ``idle`` → ``busy`` →
-``dead``.  Death — pipe EOF, a kill, an injected chaos crash — charges
-exactly the lease's own in-flight point one attempt (attribution is exact,
-unlike the shared process pool) and respawns the slot; every other in-flight
-point is untouched.  Heartbeats map onto the existing
-:class:`~repro.scenarios.policy.PointPolicy`: a busy lease that has not
-answered within ``policy.timeout_s`` is declared dead, killed, and its point
-charged a timeout attempt, with retries/backoff/quarantine running through
-the same deterministic machinery as the pool backend.
+The coordinator is a transport over the same
+:class:`~repro.scenarios.policy.PointScheduler` as the process pool, which
+owns retries, backoff, deadlines and quarantine; the fleet spawns workers,
+moves leased points and replies over the pipes, and reports how each lease
+ended.  Each worker slot holds at most one leased point and moves through
+the health states ``leased`` (spawned, awaiting its ready line) → ``idle`` →
+``busy`` → ``dead``.  Death — pipe EOF, a kill, an injected chaos crash —
+charges exactly the worker's own point one attempt (attribution is exact,
+unlike the shared process pool) and respawns the slot; every other
+in-flight point is untouched.  A worker still busy past its lease's
+``policy.timeout_s`` deadline is killed alone and its point charged a
+timeout attempt; the lease starts when the point is sent to a ready worker,
+so spawn time (bounded by its own ready deadline) never counts.
 
 In streamed runs each worker is an *independent writer*: it appends finished
 artifacts with the full durability protocol and logs them to its own
@@ -40,31 +44,28 @@ byte-identical after :func:`~repro.scenarios.stream.strip_costs`.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
-from collections import deque
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from queue import Empty, Queue
 
-from repro.scenarios.policy import PointPolicy
+from repro.scenarios.policy import PointScheduler
 from repro.scenarios.registry import register_executor
 from repro.util.validation import require
 
 #: Seconds a freshly spawned worker gets to print its ready line before the
-#: lease is recycled (generous: a worker imports numpy/scipy on startup).
+#: slot is recycled (generous: a worker imports numpy/scipy on startup).
 READY_TIMEOUT_S = 120.0
 
-#: Consecutive pre-ready deaths of one lease slot before the fleet concludes
+#: Consecutive pre-ready deaths of one worker slot before the fleet concludes
 #: workers cannot start in this environment and raises instead of spinning.
 MAX_SPAWN_FAILURES = 3
 
-#: Lease health states.
+#: Worker health states.
 LEASED, IDLE, BUSY, DEAD = "leased", "idle", "busy", "dead"
 
 
@@ -107,16 +108,15 @@ def _worker_env() -> dict:
     return env
 
 
-class _Lease:
-    """One worker slot: a subprocess, its health state, its in-flight point."""
+class _Worker:
+    """One worker slot: a subprocess, its health state, its leased point."""
 
     def __init__(self, slot: int):
         self.slot = slot
         self.shard = f"w{slot}"
         self.state = DEAD
         self.process: subprocess.Popen | None = None
-        self.task: tuple[int, int] | None = None  # (index, attempt)
-        self.deadline: float | None = None
+        self.lease = None  # the scheduler's Lease this worker is running
         self.ready_deadline: float | None = None
         self.spawn_failures = 0
 
@@ -138,37 +138,23 @@ class SubprocessFleetExecutor:
     name = "subprocess-fleet"
 
     def execute(self, ctx) -> None:
-        policy = (ctx.policy or PointPolicy()).validate()
-        indices = list(ctx.indices)
-        if not indices:
-            return
-        spec_list = ctx.spec_list
-        events: Queue = Queue()
-        queue: deque = deque((index, 0) for index in indices)
-        delayed: list = []  # (ready_monotonic, tiebreak, index, attempt)
-        seq = 0
-        outstanding = len(indices)  # points neither delivered nor quarantined
+        from repro.scenarios.runner import RunRecord
 
-        def fail_point(index: int, attempt: int, error: BaseException) -> None:
-            """Charge one attempt; requeue (after backoff) or quarantine."""
-            nonlocal seq, outstanding
-            if attempt < policy.max_retries:
-                delay = policy.retry_delay(
-                    spec_list[index].seed, spec_list[index].fingerprint(), attempt
-                )
-                if delay > 0:
-                    seq += 1
-                    heapq.heappush(
-                        delayed, (time.monotonic() + delay, seq, index, attempt + 1)
-                    )
-                else:
-                    queue.append((index, attempt + 1))
-                return
-            if ctx.on_quarantine is not None:
-                ctx.on_quarantine(index, attempt + 1, error)
-                outstanding -= 1
-                return
-            raise error
+        spec_list = ctx.spec_list
+
+        def deliver(index: int, message: dict, attempt: int) -> None:
+            if ctx.stream is not None and message.get("entry") is not None:
+                # The worker already wrote the artifact and its shard index
+                # line durably; the coordinator only adopts the entry.
+                ctx.stream.adopt(message["entry"])
+            else:
+                record = RunRecord.from_dict(message["record"])
+                ctx.on_complete(index, (record, message["wall_clock_s"]), attempt)
+
+        scheduler = PointScheduler(spec_list, ctx.indices, ctx.policy, deliver, ctx.on_quarantine)
+        if scheduler.done:
+            return
+        events: Queue = Queue()
 
         # Importing the module by its canonical name (rather than running it
         # as __main__ via -m) keeps the worker's registry seeing exactly one
@@ -180,8 +166,8 @@ class SubprocessFleetExecutor:
             "raise SystemExit(worker_main())",
         ]
 
-        def spawn(lease: _Lease) -> None:
-            lease.process = subprocess.Popen(
+        def spawn(worker: _Worker) -> None:
+            worker.process = subprocess.Popen(
                 worker_cmd,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
@@ -190,17 +176,17 @@ class SubprocessFleetExecutor:
                 encoding="utf-8",
                 bufsize=1,
             )
-            lease.state = LEASED
-            lease.task = None
-            lease.deadline = None
-            lease.ready_deadline = time.monotonic() + READY_TIMEOUT_S
+            worker.state = LEASED
+            worker.lease = None
+            worker.ready_deadline = time.monotonic() + READY_TIMEOUT_S
             threading.Thread(
-                target=_pump, args=(lease.slot, lease.process, events), daemon=True
+                target=_pump, args=(worker.slot, worker.process, events), daemon=True
             ).start()
 
-        def kill(lease: _Lease) -> None:
-            lease.state = DEAD
-            process = lease.process
+        def kill(worker: _Worker) -> None:
+            worker.state = DEAD
+            worker.lease = None
+            process = worker.process
             if process is None:
                 return
             try:
@@ -212,141 +198,112 @@ class SubprocessFleetExecutor:
             except Exception:  # pragma: no cover - defensive
                 pass
 
-        def send(lease: _Lease, index: int, attempt: int) -> None:
-            """Hand one point to an idle lease; on a dead pipe, let EOF handle it."""
+        def respawn(worker: _Worker) -> None:
+            if not scheduler.done:
+                spawn(worker)
+
+        def send(worker: _Worker, lease) -> None:
+            """Hand one leased point to an idle worker; on a dead pipe, let EOF handle it."""
             task = {
                 "op": "run",
-                "index": index,
-                "attempt": attempt,
-                "spec": spec_list[index].to_dict(),
-                "timed": ctx.timed,
+                "index": lease.index,
+                "attempt": lease.attempt,
+                "spec": spec_list[lease.index].to_dict(),
             }
             if ctx.stream is not None:
                 task["stream"] = {
                     "directory": str(ctx.stream.directory),
                     "compress": bool(ctx.stream.compress),
-                    "shard": lease.shard,
+                    "shard": worker.shard,
                 }
-            lease.task = (index, attempt)
-            lease.state = BUSY
-            lease.deadline = (
-                time.monotonic() + policy.timeout_s
-                if policy.timeout_s is not None
-                else None
-            )
+            worker.lease = lease
+            worker.state = BUSY
             try:
-                lease.process.stdin.write(json.dumps(task) + "\n")
-                lease.process.stdin.flush()
+                worker.process.stdin.write(json.dumps(task) + "\n")
+                worker.process.stdin.flush()
             except (BrokenPipeError, OSError, ValueError):
                 # The worker died holding the lease; its EOF event (already
                 # queued or imminent) charges the point and respawns.
                 pass
 
-        def on_death(lease: _Lease) -> None:
-            """EOF from a lease: charge its in-flight point, recycle the slot."""
-            was, task = lease.state, lease.task
-            lease.state = DEAD
-            lease.task = None
-            lease.deadline = None
+        def on_death(worker: _Worker) -> None:
+            """EOF from a worker: charge its leased point, recycle the slot."""
+            was, lease = worker.state, worker.lease
+            worker.state = DEAD
+            worker.lease = None
             if was == LEASED:
-                lease.spawn_failures += 1
+                worker.spawn_failures += 1
                 require(
-                    lease.spawn_failures < MAX_SPAWN_FAILURES,
-                    f"fleet worker slot {lease.slot} died {lease.spawn_failures} "
+                    worker.spawn_failures < MAX_SPAWN_FAILURES,
+                    f"fleet worker slot {worker.slot} died {worker.spawn_failures} "
                     f"times before becoming ready; workers cannot start "
                     f"(is repro.scenarios.fleet importable by {sys.executable}?)",
                 )
-            if was == BUSY and task is not None:
-                index, attempt = task
-                fail_point(
-                    index, attempt, BrokenExecutor(f"worker died running point {index}")
-                )
-            if outstanding > 0:
-                spawn(lease)
+            if was == BUSY and lease is not None:
+                scheduler.die(lease)
+            respawn(worker)
 
-        def on_message(lease: _Lease, line: str) -> None:
-            nonlocal outstanding
+        def on_message(worker: _Worker, line: str) -> None:
             try:
                 message = json.loads(line)
             except json.JSONDecodeError:
                 # A worker that corrupts its protocol stream is as good as
                 # dead: kill it, charge its point, recycle the slot.
-                task = lease.task
-                kill(lease)
-                lease.task = None
-                if task is not None:
-                    index, attempt = task
-                    fail_point(
-                        index,
-                        attempt,
+                lease = worker.lease
+                kill(worker)
+                if lease is not None:
+                    scheduler.fail(
+                        lease,
                         RemoteWorkerError(
-                            f"RuntimeError('worker {lease.slot} sent an "
+                            f"RuntimeError('worker {worker.slot} sent an "
                             f"undecodable protocol line')"
                         ),
                     )
-                if outstanding > 0:
-                    spawn(lease)
+                respawn(worker)
                 return
             op = message.get("op") if isinstance(message, dict) else None
             if op == "ready":
-                lease.spawn_failures = 0
-                lease.ready_deadline = None
-                if lease.state == LEASED:
-                    lease.state = IDLE
+                worker.spawn_failures = 0
+                worker.ready_deadline = None
+                if worker.state == LEASED:
+                    worker.state = IDLE
                 return
-            if op not in ("done", "error") or lease.task is None:
+            if op not in ("done", "error") or worker.lease is None:
                 return  # stray chatter; harmless
-            index, attempt = lease.task
-            lease.task = None
-            lease.state = IDLE
-            lease.deadline = None
+            lease = worker.lease
+            worker.lease = None
+            worker.state = IDLE
             if op == "error":
-                fail_point(index, attempt, RemoteWorkerError(str(message.get("error"))))
-                return
-            if ctx.stream is not None and message.get("entry") is not None:
-                # The worker already wrote the artifact and its shard index
-                # line durably; the coordinator only adopts the entry.
-                ctx.stream.adopt(message["entry"])
+                scheduler.fail(lease, RemoteWorkerError(str(message.get("error"))))
             else:
-                from repro.scenarios.runner import RunRecord
-
-                ctx.on_complete(index, RunRecord.from_dict(message["record"]), attempt)
-            outstanding -= 1
+                scheduler.finish(lease, message)
 
         fleet = {
-            slot: _Lease(slot) for slot in range(max(1, min(ctx.workers, len(indices))))
+            slot: _Worker(slot) for slot in range(max(1, min(ctx.workers, len(ctx.indices))))
         }
         try:
-            for lease in fleet.values():
-                spawn(lease)
-            while outstanding > 0:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, _, index, attempt = heapq.heappop(delayed)
-                    queue.append((index, attempt))
-                for lease in fleet.values():
-                    if lease.state == IDLE and queue:
-                        send(lease, *queue.popleft())
+            for worker in fleet.values():
+                spawn(worker)
+            while not scheduler.done:
+                for worker in fleet.values():
+                    if worker.state == IDLE:
+                        lease = scheduler.lease()
+                        if lease is None:
+                            break
+                        send(worker, lease)
                 # Sleep until the next actionable instant: a worker message,
-                # a lease deadline, a spawn deadline, or a backoff expiry.
+                # a lease deadline, a backoff expiry, or a spawn deadline.
                 wakeups = [
-                    lease.deadline
-                    for lease in fleet.values()
-                    if lease.state == BUSY and lease.deadline is not None
+                    max(0.0, worker.ready_deadline - time.monotonic())
+                    for worker in fleet.values()
+                    if worker.state == LEASED
                 ]
-                wakeups += [
-                    lease.ready_deadline
-                    for lease in fleet.values()
-                    if lease.state == LEASED and lease.ready_deadline is not None
-                ]
-                if delayed:
-                    wakeups.append(delayed[0][0])
-                timeout = (
-                    max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
-                )
+                wait_s = scheduler.wait_s()
+                if wait_s is not None:
+                    wakeups.append(wait_s)
                 batch = []
                 try:
-                    batch.append(events.get(timeout=timeout))
+                    batch.append(events.get(timeout=min(wakeups) if wakeups else None))
                 except Empty:
                     pass
                 while True:
@@ -355,53 +312,36 @@ class SubprocessFleetExecutor:
                     except Empty:
                         break
                 for slot, process, kind, payload in batch:
-                    lease = fleet[slot]
-                    if lease.process is not process:
-                        continue  # an event from a lease's previous, replaced worker
+                    worker = fleet[slot]
+                    if worker.process is not process:
+                        continue  # an event from a slot's previous, replaced worker
                     if kind == "eof":
-                        on_death(lease)
+                        on_death(worker)
                     else:
-                        on_message(lease, payload)
-                # Enforce heartbeat deadlines: a busy lease past its budget is
-                # killed and its point charged a timeout attempt (same message
-                # as the pool backend, for ledger parity).
+                        on_message(worker, payload)
+                # Enforce deadlines: a busy worker past its lease's deadline is
+                # killed alone and its point charged a timeout attempt.
+                overdue = scheduler.overdue()
                 now = time.monotonic()
-                for lease in fleet.values():
-                    if (
-                        lease.state == BUSY
-                        and lease.deadline is not None
-                        and lease.deadline <= now
-                    ):
-                        index, attempt = lease.task
-                        kill(lease)
-                        lease.task = None
-                        fail_point(
-                            index,
-                            attempt,
-                            TimeoutError(
-                                f"point {index} exceeded timeout_s={policy.timeout_s} "
-                                f"on attempt {attempt}"
-                            ),
-                        )
-                        if outstanding > 0:
-                            spawn(lease)
-                    elif (
-                        lease.state == LEASED
-                        and lease.ready_deadline is not None
-                        and lease.ready_deadline <= now
-                    ):
-                        lease.spawn_failures += 1
-                        kill(lease)
+                for worker in fleet.values():
+                    if worker.state == BUSY and worker.lease in overdue:
+                        lease = worker.lease
+                        kill(worker)
+                        scheduler.expire(lease)
+                        respawn(worker)
+                    elif worker.state == LEASED and worker.ready_deadline <= now:
+                        worker.spawn_failures += 1
+                        kill(worker)
                         require(
-                            lease.spawn_failures < MAX_SPAWN_FAILURES,
-                            f"fleet worker slot {lease.slot} failed to become "
+                            worker.spawn_failures < MAX_SPAWN_FAILURES,
+                            f"fleet worker slot {worker.slot} failed to become "
                             f"ready within {READY_TIMEOUT_S}s, "
-                            f"{lease.spawn_failures} time(s)",
+                            f"{worker.spawn_failures} time(s)",
                         )
-                        spawn(lease)
+                        spawn(worker)
         except KeyboardInterrupt:
-            for lease in fleet.values():
-                kill(lease)
+            for worker in fleet.values():
+                kill(worker)
             raise
         finally:
             self._shutdown(fleet)
@@ -409,8 +349,8 @@ class SubprocessFleetExecutor:
     @staticmethod
     def _shutdown(fleet: dict) -> None:
         """Ask every live worker to exit; escalate to kill after a grace period."""
-        for lease in fleet.values():
-            process = lease.process
+        for worker in fleet.values():
+            process = worker.process
             if process is None or process.poll() is not None:
                 continue
             try:
@@ -420,8 +360,8 @@ class SubprocessFleetExecutor:
             except Exception:
                 pass
         deadline = time.monotonic() + 5.0
-        for lease in fleet.values():
-            process = lease.process
+        for worker in fleet.values():
+            process = worker.process
             if process is None:
                 continue
             try:
@@ -443,7 +383,7 @@ def _execute_task(task: dict, streams: dict) -> dict:
     Fault parity with the pool backend is deliberate, branch by branch: the
     chaos shim runs first (``crash`` exits the process — the coordinator
     sees EOF, exactly like ``BrokenProcessPool``; ``hang`` sleeps into the
-    heartbeat timeout; ``raise`` lands in the generic exception reply), and
+    lease's timeout; ``raise`` lands in the generic exception reply), and
     a scheduled ``torn-write`` writes the same truncated artifact bytes the
     parent-side path writes, with no index line, before failing the attempt
     with the same :class:`~repro.scenarios.chaos.PointFault` message.
@@ -455,7 +395,7 @@ def _execute_task(task: dict, streams: dict) -> dict:
         chaos_decision,
         tear_artifact,
     )
-    from repro.scenarios.runner import execute_spec, execute_spec_timed
+    from repro.scenarios.runner import execute_spec_timed
     from repro.scenarios.spec import ScenarioSpec
     from repro.scenarios.stream import SweepStream
 
@@ -465,14 +405,10 @@ def _execute_task(task: dict, streams: dict) -> dict:
         spec = ScenarioSpec.from_dict(task["spec"])
         fingerprint = spec.fingerprint()
         apply_worker_chaos(fingerprint, attempt)
+        record, wall_clock_s = execute_spec_timed(spec)
         stream_info = task.get("stream")
         if stream_info is None:
-            if task.get("timed"):
-                record, wall_clock_s = execute_spec_timed(spec)
-                reply["record"] = record.to_dict()
-                reply["wall_clock_s"] = wall_clock_s
-            else:
-                reply["record"] = execute_spec(spec).to_dict()
+            reply.update(record=record.to_dict(), wall_clock_s=wall_clock_s)
             return reply
         key = (stream_info["directory"], stream_info["shard"])
         stream = streams.get(key)
@@ -483,7 +419,6 @@ def _execute_task(task: dict, streams: dict) -> dict:
                 shard=stream_info["shard"],
             )
             streams[key] = stream
-        record, wall_clock_s = execute_spec_timed(spec)
         chaos = active_chaos()
         if chaos is not None and chaos_decision(chaos, fingerprint, attempt) == "torn-write":
             tear_artifact(stream, index, record)

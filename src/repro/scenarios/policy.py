@@ -1,14 +1,14 @@
-"""Per-point execution guards for sweep runs.
+"""Per-point execution guards for sweep runs, and the scheduler enforcing them.
 
 A :class:`PointPolicy` bounds what one scenario point may cost the run:
-``timeout_s`` caps its wall clock (enforced by the pooled runner, which
-kills and respawns workers that overrun), ``max_retries`` re-offers a
-failed point that many extra attempts, and ``backoff`` spaces the retries
-out.  The backoff *delay* is deterministic — it is drawn from
-``derive_seed(seed, "retry", fingerprint, attempt)``, never from wall
-clock or a global RNG — so a resumed run facing the same faults makes
-byte-identical retry decisions, which is what keeps the fault-injection
-differential tests honest (see :mod:`repro.scenarios.chaos`).
+``timeout_s`` caps one attempt's wall clock from the moment a worker starts
+it, ``max_retries`` re-offers a failed point that many extra attempts, and
+``backoff`` spaces the retries out.  The backoff *delay* is deterministic —
+it is drawn from ``derive_seed(seed, "retry", fingerprint, attempt)``,
+never from wall clock or a global RNG — so a resumed run facing the same
+faults makes byte-identical retry decisions, which is what keeps the
+fault-injection differential tests honest (see :mod:`repro.scenarios.chaos`).
+One :class:`PointScheduler` enforces the policy under every executor backend.
 
 The policy never enters a :class:`~repro.scenarios.spec.ScenarioSpec`
 fingerprint: how hard the harness tries to execute a point is an
@@ -18,9 +18,14 @@ retries on a resume still matches every recorded artifact.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
+import time
+from collections import deque
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from repro.util.rng import derive_seed
 from repro.util.validation import require
@@ -33,10 +38,10 @@ class PointPolicy:
     Attributes
     ----------
     timeout_s:
-        Wall-clock budget for one attempt of one point, or ``None`` for
-        unlimited.  Enforcing a timeout requires the pooled runner (the
-        overrunning worker is killed), so a policy with a timeout routes
-        even ``workers=1`` runs through the process pool.
+        Wall-clock budget for one attempt of one point, counted from the
+        moment a worker starts it, or ``None`` for unlimited.  Enforcing a
+        timeout kills the overrunning worker, so a policy with a timeout
+        routes even ``workers=1`` serial runs through the process pool.
     max_retries:
         Extra attempts a failing point gets before it is quarantined
         (0 = fail on the first error, the pre-policy behavior).
@@ -123,3 +128,167 @@ class PointPolicy:
             max_retries=self.max_retries if max_retries is None else max_retries,
             backoff=self.backoff if backoff is None else backoff,
         ).validate()
+
+
+class Lease(NamedTuple):
+    """One attempt of one point on a worker; ``seq`` is the lease order."""
+
+    index: int
+    attempt: int
+    seq: int
+    deadline: float | None
+
+
+class PointScheduler:
+    """Which point runs next, and what a failure costs, for every backend.
+
+    A state machine with an injected ``clock`` that never sleeps.  A point is
+    queued, leased to a worker, done (delivered to ``on_complete``), waiting
+    out a backoff after a charged attempt, or quarantined.  A released lease
+    goes back to the queue uncharged.  Backends are transports: they
+    :meth:`lease` points and report how each lease ended (:meth:`settle`,
+    :meth:`finish`, :meth:`fail`, :meth:`die`, :meth:`expire`,
+    :meth:`release`).  The scheduler owns the deadlines, the
+    :meth:`PointPolicy.retry_delay` backoff, the canonical timeout and
+    worker-death errors, and a point's last charge:
+    ``on_quarantine(index, attempts, error)``, or re-raising the error when
+    no quarantine sink is given (buffered runs).
+    """
+
+    def __init__(
+        self,
+        spec_list: Sequence,
+        indices: Sequence[int],
+        policy: PointPolicy | None,
+        on_complete: Callable,
+        on_quarantine: Callable | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ):
+        self.spec_list = spec_list
+        self.policy = (policy or PointPolicy()).validate()
+        self.on_complete = on_complete
+        self.on_quarantine = on_quarantine
+        self.clock = clock
+        self._queue: deque = deque((index, 0) for index in indices)
+        self._backoff: list = []  # heap of (ready_at, seq, index, next attempt)
+        self._leased: dict[int, Lease] = {}  # seq -> lease, oldest first
+        self._seq = 0
+
+    @property
+    def done(self) -> bool:
+        """Return whether every point was delivered or quarantined."""
+        return not (self._queue or self._backoff or self._leased)
+
+    def leased(self) -> list[Lease]:
+        """Return every lease in flight, oldest first."""
+        return list(self._leased.values())
+
+    def lease(self) -> Lease | None:
+        """Lease the next ready point to a worker, or return ``None``.
+
+        The lease's deadline starts now: lease a point only when a worker can
+        start it.
+        """
+        now = self.clock()
+        self._promote(now)
+        if not self._queue:
+            return None
+        index, attempt = self._queue.popleft()
+        self._seq += 1
+        timeout_s = self.policy.timeout_s
+        lease = Lease(index, attempt, self._seq, None if timeout_s is None else now + timeout_s)
+        self._leased[lease.seq] = lease
+        return lease
+
+    def wait_s(self) -> float | None:
+        """Return the seconds until the next deadline or backoff expiry, if any.
+
+        A backoff that expired since the last call is queued and makes this
+        call return 0, once; a queued point is never a wakeup, so a transport
+        whose slots are all busy sleeps instead of spinning.
+        """
+        now = self.clock()
+        if self._promote(now):
+            return 0.0
+        instants = [lease.deadline for lease in self._leased.values() if lease.deadline is not None]
+        if self._backoff:
+            instants.append(self._backoff[0][0])
+        return max(0.0, min(instants) - now) if instants else None
+
+    def _promote(self, now: float) -> bool:
+        """Queue every point whose backoff is over; return whether there was one."""
+        promoted = bool(self._backoff) and self._backoff[0][0] <= now
+        while self._backoff and self._backoff[0][0] <= now:
+            _, _, index, attempt = heapq.heappop(self._backoff)
+            self._queue.append((index, attempt))
+        return promoted
+
+    def overdue(self) -> list[Lease]:
+        """Return the leases whose deadline has passed, oldest first."""
+        now = self.clock()
+        return [
+            lease
+            for lease in self._leased.values()
+            if lease.deadline is not None and lease.deadline <= now
+        ]
+
+    def settle(self, finished=(), failed=()) -> None:
+        """End a batch of leases: ``(lease, payload)`` and ``(lease, error)`` pairs.
+
+        Payloads are delivered in index order before any failure is charged,
+        so a re-raised failure never loses a result of the same batch.  A
+        :class:`~repro.scenarios.chaos.PointFault` raised by ``on_complete``
+        joins the failures, which are charged in index order: retried after
+        the backoff, quarantined, or re-raised.
+        """
+        from repro.scenarios.chaos import PointFault
+
+        for lease, _ in (*finished, *failed):
+            del self._leased[lease.seq]
+        failures = list(failed)
+        for lease, payload in sorted(finished, key=lambda pair: pair[0].index):
+            try:
+                self.on_complete(lease.index, payload, lease.attempt)
+            except PointFault as error:
+                failures.append((lease, error))
+        for lease, error in sorted(failures, key=lambda pair: pair[0].index):
+            index, attempt = lease.index, lease.attempt
+            if attempt < self.policy.max_retries:
+                spec = self.spec_list[index]
+                delay = self.policy.retry_delay(spec.seed, spec.fingerprint(), attempt)
+                if delay > 0:
+                    ready_at = self.clock() + delay
+                    heapq.heappush(self._backoff, (ready_at, lease.seq, index, attempt + 1))
+                else:
+                    self._queue.append((index, attempt + 1))
+            elif self.on_quarantine is not None:
+                self.on_quarantine(index, attempt + 1, error)
+            else:
+                raise error
+
+    def finish(self, lease: Lease, payload) -> None:
+        """Deliver one finished lease's payload."""
+        self.settle(finished=[(lease, payload)])
+
+    def fail(self, lease: Lease, error: BaseException) -> None:
+        """Charge one lease's attempt with ``error``."""
+        self.settle(failed=[(lease, error)])
+
+    def die(self, lease: Lease) -> None:
+        """Charge a lease whose worker died running it."""
+        self.fail(lease, BrokenExecutor(f"worker died running point {lease.index}"))
+
+    def expire(self, lease: Lease) -> None:
+        """Charge a lease that overran its deadline (its worker is gone)."""
+        self.fail(
+            lease,
+            TimeoutError(
+                f"point {lease.index} exceeded timeout_s={self.policy.timeout_s} "
+                f"on attempt {lease.attempt}"
+            ),
+        )
+
+    def release(self, lease: Lease) -> None:
+        """Re-queue an innocent lease's point, uncharged, behind the queue."""
+        del self._leased[lease.seq]
+        self._queue.append((lease.index, lease.attempt))

@@ -19,22 +19,22 @@ also exactly what :mod:`repro.scenarios.artifacts` persists to JSONL.
 
 Execution is additionally *self-healing*: a
 :class:`~repro.scenarios.policy.PointPolicy` bounds each point's wall clock
-and grants it retries, and the pooled loop survives the failure modes real
-worker fleets exhibit — a worker process dying (``BrokenProcessPool``), a
-point hanging past its timeout, or a poison exception that cannot cross the
-process boundary.  In every case the pool is respawned, in-flight innocents
-are re-queued uncharged, and only the culpable point is charged an attempt;
-a point that exhausts ``max_retries`` is quarantined (streamed runs record
-it durably in ``failures.jsonl`` and keep going; buffered runs flush every
-already-completed point, then re-raise).  Because artifact bytes are a pure
-function of the spec, re-running an innocent point is always safe.
+and grants it retries, and the :class:`~repro.scenarios.policy.PointScheduler`
+behind every backend charges each failure — a worker process dying, a point
+hanging past its timeout, or a poison exception that cannot cross the
+process boundary — to the culpable point only, re-queueing in-flight
+innocents uncharged; a point that exhausts ``max_retries`` is quarantined
+(streamed runs record it durably in ``failures.jsonl`` and keep going;
+buffered runs flush every already-completed point, then re-raise).  The
+process-pool transport (:func:`_run_pooled`) lives here, next to the work
+unit it ships.  Because artifact bytes are a pure function of the spec,
+re-running an innocent point is always safe.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 from repro.adversary.base import AdversaryEvent, EventType
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.scenarios.policy import PointPolicy
+from repro.scenarios.policy import PointPolicy, PointScheduler
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.validation import require
 
@@ -146,43 +146,30 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
 def execute_spec_timed(spec: ScenarioSpec) -> tuple[RunRecord, float]:
     """Run one scenario and measure its wall clock *in the executing process*.
 
-    The streamed paths ship this to workers instead of :func:`execute_spec`
-    so the recorded ``wall_clock_s`` cost column measures the point's own
-    execution, not queueing or transfer time.  The timing never enters the
-    :class:`RunRecord` (artifact bytes stay a pure function of the spec); it
-    only rides alongside, into the stream index.
+    Every backend runs points through this, so the ``wall_clock_s`` that
+    rides alongside each record measures the point's own execution, not
+    queueing or transfer time.  The timing never enters the
+    :class:`RunRecord` (artifact bytes stay a pure function of the spec);
+    streamed runs record it in the stream index, buffered runs drop it.
     """
     start = time.perf_counter()
     record = execute_spec(spec)
     return record, time.perf_counter() - start
 
 
-def _inject_worker_chaos(spec: ScenarioSpec, attempt: int) -> None:
-    """Apply this attempt's scheduled worker fault, when chaos is active."""
+def execute_point(spec: ScenarioSpec, attempt: int = 0) -> tuple[RunRecord, float]:
+    """The pooled work unit: chaos shim, then the timed scenario.
+
+    ``attempt`` numbers retries of one point (0 = first try); it feeds only
+    the fault-injection schedule, never the scenario itself, so every
+    attempt that completes returns identical bytes.  An injected hang sleeps
+    *before* the timer starts, so ``wall_clock_s`` still measures the
+    point's own execution.
+    """
     from repro.scenarios.chaos import active_chaos, apply_worker_chaos
 
     if active_chaos() is not None:
         apply_worker_chaos(spec.fingerprint(), attempt)
-
-
-def execute_point(spec: ScenarioSpec, attempt: int = 0) -> RunRecord:
-    """The pooled buffered-path work unit: chaos shim, then the scenario.
-
-    ``attempt`` numbers retries of one point (0 = first try); it feeds only
-    the fault-injection schedule, never the scenario itself, so every
-    attempt that completes returns identical bytes.
-    """
-    _inject_worker_chaos(spec, attempt)
-    return execute_spec(spec)
-
-
-def execute_point_timed(spec: ScenarioSpec, attempt: int = 0) -> tuple[RunRecord, float]:
-    """The pooled streamed-path work unit: chaos shim, then the timed scenario.
-
-    An injected hang sleeps *before* the timer starts, so the recorded
-    ``wall_clock_s`` cost column still measures the point's own execution.
-    """
-    _inject_worker_chaos(spec, attempt)
     return execute_spec_timed(spec)
 
 
@@ -226,7 +213,6 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 def run_scenarios(
     specs: Iterable[ScenarioSpec] | Sequence[ScenarioSpec],
     workers: int = 1,
-    max_pending: int | None = None,
     stream_to: str | Path | None = None,
     resume: str | Path | None = None,
     compress: bool | None = None,
@@ -239,9 +225,7 @@ def run_scenarios(
     ``workers=1`` executes inline (no subprocesses — simplest to debug and
     profile); ``workers>1`` fans the specs out over a process pool.  Each
     spec is validated up front so a typo in point 37 of a grid fails fast,
-    before any work is scheduled.  ``max_pending`` caps in-flight submissions
-    (default ``4 * workers``) so million-point grids don't materialize a
-    future per point at once.
+    before any work is scheduled.
 
     ``executor`` names a registered execution backend (``serial``,
     ``process-pool``, ``subprocess-fleet``, or a third-party
@@ -302,17 +286,15 @@ def run_scenarios(
         backend = resolve_executor(executor, workers, len(spec_list))
         records: list[RunRecord | None] = [None] * len(spec_list)
 
-        def on_complete(index: int, record: RunRecord, attempt: int) -> None:
-            records[index] = record
+        def on_complete(index: int, payload: tuple[RunRecord, float], attempt: int) -> None:
+            records[index] = payload[0]
 
         backend.execute(
             ExecutionContext(
                 spec_list=spec_list,
                 indices=range(len(spec_list)),
                 workers=workers,
-                max_pending=max_pending,
                 policy=policy,
-                timed=False,
                 on_complete=on_complete,
             )
         )
@@ -320,7 +302,6 @@ def run_scenarios(
     return _run_streamed(
         spec_list,
         workers,
-        max_pending,
         stream_to,
         resume,
         compress,
@@ -330,180 +311,92 @@ def run_scenarios(
     )
 
 
-def _run_pooled(
-    spec_list,
-    indices,
-    workers,
-    max_pending,
-    on_complete,
-    fn=execute_point,
-    policy: PointPolicy | None = None,
-    on_quarantine=None,
-) -> None:
-    """Execute ``fn(spec_list[i], attempt)`` for each index on a pool.
+def _run_pooled(ctx) -> None:
+    """The process-pool transport over a :class:`PointScheduler`.
 
-    ``on_complete(index, result, attempt)`` fires in completion order;
-    nothing beyond the in-flight window is retained here, so the caller
-    decides whether to buffer (in-memory list) or stream (durable
-    directory).  ``on_complete`` may raise
-    :class:`~repro.scenarios.chaos.PointFault` to convert a delivered
-    result into a per-point failure (the torn-write chaos path).
-
-    Fault tolerance: a per-point failure (worker exception, poison
-    exception, timeout, worker death) charges *that point* an attempt; when
-    ``policy.max_retries`` is exhausted the point goes to
-    ``on_quarantine(index, attempts, error)`` — or, when no quarantine sink
-    is given (buffered mode), the error re-raises after every completed
-    point in the same batch was delivered.  A broken pool is respawned and
-    in-flight innocents are re-queued without being charged.  Retries wait
-    out the policy's deterministic backoff before resubmission.
+    Submits ``execute_point(spec, attempt)`` per lease and reports how each
+    lease ended; the scheduler owns retries, backoff and quarantine.  The
+    executor cannot say when a queued future starts, so under a
+    ``policy.timeout_s`` at most one point per worker is in flight and a
+    lease is a started point.  That idles each worker for a result round
+    trip between points, which halves the throughput of millisecond points,
+    so without a timeout a window of ``4 * workers`` keeps every worker's
+    next point queued.  Nor can the executor say which worker died holding
+    which point, so a broken pool charges the oldest ``min(workers,
+    in-flight)`` leases (exact for ``workers=1``) and releases the rest.  A
+    stuck worker has no cooperative stop, so a timeout kills the whole pool:
+    the overdue leases are charged and the innocents released.
     """
-    from repro.scenarios.chaos import PointFault
+    spec_list = ctx.spec_list
+    workers = max(1, ctx.workers)
+    scheduler = PointScheduler(
+        spec_list, ctx.indices, ctx.policy, ctx.on_complete, ctx.on_quarantine
+    )
+    window = workers if scheduler.policy.timeout_s is not None else 4 * workers
+    futures: dict = {}  # future -> lease
 
-    policy = (policy or PointPolicy()).validate()
-    window = max_pending if max_pending is not None else 4 * workers
-    require(window >= 1, "max_pending must be at least 1")
+    def submit(pool: ProcessPoolExecutor) -> bool:
+        """Place leases until the window is full; return False if the pool broke."""
+        while len(futures) < window:
+            lease = scheduler.lease()
+            if lease is None:
+                return True
+            try:
+                future = pool.submit(execute_point, spec_list[lease.index], lease.attempt)
+            except BrokenExecutor:
+                scheduler.release(lease)  # it never reached a worker
+                return False
+            futures[future] = lease
+        return True
 
-    queue: deque = deque((index, 0) for index in indices)
-    delayed: list = []  # (ready_monotonic, tiebreak, index, attempt) backoff heap
-    pending: dict = {}  # future -> (index, attempt, seq, deadline)
-    seq = 0
-
-    def fail_point(index: int, attempt: int, error: BaseException) -> None:
-        """Charge one attempt; requeue (after backoff) or quarantine."""
-        nonlocal seq
-        if attempt < policy.max_retries:
-            delay = policy.retry_delay(
-                spec_list[index].seed, spec_list[index].fingerprint(), attempt
-            )
-            if delay > 0:
-                seq += 1
-                heapq.heappush(delayed, (time.monotonic() + delay, seq, index, attempt + 1))
-            else:
-                queue.append((index, attempt + 1))
-            return
-        if on_quarantine is not None:
-            on_quarantine(index, attempt + 1, error)
-            return
-        raise error
-
-    def handle_broken_pool(pool, extra) -> ProcessPoolExecutor:
-        """Respawn after a worker death; charge only the likely culprits.
-
-        The executor cannot say *which* worker died holding *which* point,
-        so the oldest ``min(workers, in-flight)`` submissions — the ones a
-        worker could actually have been running — are charged an attempt
-        and the rest are re-queued free.  With ``workers=1`` this is exact.
-        """
-        doomed = list(extra)  # (seq, index, attempt, error)
-        for future, (index, attempt, fseq, _) in pending.items():
-            doomed.append(
-                (fseq, index, attempt, BrokenExecutor(f"worker died running point {index}"))
-            )
-        pending.clear()
-        doomed.sort(key=lambda item: item[0])
+    def respawn(pool: ProcessPoolExecutor, errors: dict) -> ProcessPoolExecutor:
+        """Replace a broken pool; charge the likely culprits, release the rest."""
         _kill_pool(pool)
-        charged = doomed[: min(workers, len(doomed))]
-        for _, index, attempt, _ in doomed[len(charged):]:
-            queue.append((index, attempt))
-        for _, index, attempt, error in charged:
-            fail_point(index, attempt, error)
+        futures.clear()
+        doomed = scheduler.leased()
+        for lease in doomed[workers:]:
+            scheduler.release(lease)
+        for lease in doomed[:workers]:
+            if lease in errors:
+                scheduler.fail(lease, errors[lease])
+            else:
+                scheduler.die(lease)
         return build_pool(workers)
 
     pool = build_pool(workers)
     try:
-        while queue or delayed or pending:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, _, index, attempt = heapq.heappop(delayed)
-                queue.append((index, attempt))
-            broken_on_submit = False
-            while queue and len(pending) < window:
-                index, attempt = queue.popleft()
-                try:
-                    future = pool.submit(fn, spec_list[index], attempt)
-                except BrokenExecutor:
-                    queue.appendleft((index, attempt))
-                    broken_on_submit = True
-                    break
-                seq += 1
-                deadline = now + policy.timeout_s if policy.timeout_s is not None else None
-                pending[future] = (index, attempt, seq, deadline)
-            if broken_on_submit:
-                pool = handle_broken_pool(pool, [])
+        while not scheduler.done:
+            if not submit(pool):
+                pool = respawn(pool, {})
                 continue
-            if not pending:
+            if not futures:
                 # Everything left is waiting out a backoff delay.
-                if delayed:
-                    time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
+                time.sleep(scheduler.wait_s())
                 continue
-            timeout = None
-            deadlines = [entry[3] for entry in pending.values() if entry[3] is not None]
-            if deadlines:
-                timeout = max(0.0, min(deadlines) - time.monotonic())
-            if delayed:
-                ready_in = max(0.0, delayed[0][0] - time.monotonic())
-                timeout = ready_in if timeout is None else min(timeout, ready_in)
-            done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-
-            successes: list = []  # (index, attempt, payload)
-            failures: list = []  # (index, attempt, error)
-            broken: list = []  # (seq, index, attempt, error)
+            done, _ = wait(futures, timeout=scheduler.wait_s(), return_when=FIRST_COMPLETED)
+            finished, failed, broken = [], [], {}
             for future in done:
-                index, attempt, fseq, _ = pending.pop(future)
+                lease = futures.pop(future)
                 try:
-                    payload = future.result()
+                    finished.append((lease, future.result()))
                 except BrokenExecutor as error:
-                    broken.append((fseq, index, attempt, error))
+                    broken[lease] = error
                 except Exception as error:
-                    failures.append((index, attempt, error))
-                else:
-                    successes.append((index, attempt, payload))
-            # Deliver every completed point FIRST (in submission-index order,
-            # deterministically), so nothing already computed is lost to a
-            # failure in the same batch.
-            for index, attempt, payload in sorted(successes, key=lambda item: item[0]):
-                try:
-                    on_complete(index, payload, attempt)
-                except PointFault as error:
-                    failures.append((index, attempt, error))
-            for index, attempt, error in sorted(failures, key=lambda item: item[0]):
-                fail_point(index, attempt, error)
+                    failed.append((lease, error))
+            scheduler.settle(finished, failed)
             if broken:
-                pool = handle_broken_pool(pool, broken)
+                pool = respawn(pool, broken)
                 continue
-            # Enforce per-point timeouts: kill the pool (a stuck worker has no
-            # cooperative stop), charge only the overdue points, re-queue the
-            # innocents uncharged.
-            now = time.monotonic()
-            overdue = {
-                future: entry
-                for future, entry in pending.items()
-                if entry[3] is not None and entry[3] <= now
-            }
+            overdue = scheduler.overdue()
             if overdue:
-                innocents = sorted(
-                    (entry[2], entry[0], entry[1])
-                    for future, entry in pending.items()
-                    if future not in overdue
-                )
-                timed_out = sorted(
-                    (entry[2], entry[0], entry[1]) for entry in overdue.values()
-                )
-                pending.clear()
                 _kill_pool(pool)
+                futures.clear()
+                for lease in scheduler.leased():
+                    if lease not in overdue:
+                        scheduler.release(lease)
+                for lease in overdue:
+                    scheduler.expire(lease)
                 pool = build_pool(workers)
-                for _, index, attempt in innocents:
-                    queue.append((index, attempt))
-                for _, index, attempt in timed_out:
-                    fail_point(
-                        index,
-                        attempt,
-                        TimeoutError(
-                            f"point {index} exceeded timeout_s={policy.timeout_s} "
-                            f"on attempt {attempt}"
-                        ),
-                    )
         pool.shutdown(wait=True)
     except KeyboardInterrupt:
         _kill_pool(pool)
@@ -513,7 +406,7 @@ def _run_pooled(
 
 
 def _run_streamed(
-    spec_list, workers, max_pending, stream_to, resume, compress, policy, retry_failed, executor=None
+    spec_list, workers, stream_to, resume, compress, policy, retry_failed, executor=None
 ):
     """The ``stream_to``/``resume`` execution path of :func:`run_scenarios`."""
     from repro.scenarios.chaos import PointFault, active_chaos, chaos_decision, tear_artifact
@@ -597,9 +490,7 @@ def _run_streamed(
                 spec_list=spec_list,
                 indices=todo,
                 workers=workers,
-                max_pending=max_pending,
                 policy=policy,
-                timed=True,
                 on_complete=record_point,
                 on_quarantine=quarantine,
                 stream=stream,

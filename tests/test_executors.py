@@ -25,7 +25,7 @@ from repro.scenarios import (
     list_executors,
     run_scenarios,
 )
-from repro.scenarios.chaos import ENV_VAR
+from repro.scenarios.chaos import ENV_VAR, PointFault
 from repro.scenarios.executors import (
     ExecutionContext,
     ProcessPoolBackend,
@@ -34,6 +34,7 @@ from repro.scenarios.executors import (
 )
 from repro.scenarios.fleet import RemoteWorkerError, SubprocessFleetExecutor
 from repro.scenarios.registry import EXECUTORS, UnknownNameError
+from repro.scenarios.runner import RunRecord
 from repro.scenarios.stream import (
     FAILURES_NAME,
     MANIFEST_NAME,
@@ -312,6 +313,26 @@ def test_fleet_timeout_uses_the_same_error_message_as_the_pool(tmp_path, monkeyp
     )
 
 
+@pytest.mark.parametrize("backend", ["process-pool", "subprocess-fleet"])
+def test_a_points_timeout_clock_starts_when_a_worker_starts_it(tmp_path, monkeypatch, backend):
+    """Four points that each hang 0.6 s, one worker, a 1.5 s timeout.
+
+    Run one after another, every point finishes well within its own budget;
+    a clock started when the point was queued would expire the third and
+    fourth points while they wait behind the first two.
+    """
+    specs = SWEEP.expand()
+    monkeypatch.setenv(ENV_VAR, ChaosSpec(hang_prob=1.0, hang_s=0.6, seed=0).to_json())
+    result = run_scenarios(
+        specs,
+        workers=1,
+        stream_to=tmp_path / backend,
+        executor=backend,
+        policy=PointPolicy(timeout_s=1.5),
+    )
+    assert result.failed == 0 and result.executed == len(specs)
+
+
 def test_remote_worker_error_repr_is_the_wire_payload_verbatim():
     error = RemoteWorkerError("ChaosError('injected failure for abcdef123456 attempt 0')")
     assert repr(error) == "ChaosError('injected failure for abcdef123456 attempt 0')"
@@ -341,10 +362,56 @@ def test_serial_backend_delegates_to_the_pool_when_a_policy_is_active():
             spec_list=[BASE.with_overrides(timesteps=3)],
             indices=[0],
             workers=1,
-            max_pending=None,
             policy=PointPolicy(timeout_s=60.0),
-            timed=False,
             on_complete=on_complete,
         )
     )
     assert calls == [0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_backend_delivers_record_and_wall_clock_pairs(backend):
+    specs = SWEEP.expand()[:2]
+    payloads = {}
+
+    def on_complete(index, payload, attempt):
+        payloads[index] = payload
+
+    EXECUTORS.get(backend)().execute(
+        ExecutionContext(
+            spec_list=specs,
+            indices=range(len(specs)),
+            workers=2,
+            policy=PointPolicy(),
+            on_complete=on_complete,
+        )
+    )
+    assert sorted(payloads) == [0, 1]
+    for index, payload in payloads.items():
+        assert isinstance(payload, tuple) and len(payload) == 2
+        record, wall_clock_s = payload
+        assert isinstance(record, RunRecord) and record.spec == specs[index]
+        assert isinstance(wall_clock_s, float) and wall_clock_s > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_backend_charges_a_point_fault_raised_on_delivery(backend):
+    """A PointFault from on_complete is a charged attempt, never an escape."""
+    specs = SWEEP.expand()[:2]
+    delivered = {}
+
+    def on_complete(index, payload, attempt):
+        if attempt == 0:
+            raise PointFault(f"rejected point {index} attempt {attempt}")
+        delivered[index] = attempt
+
+    EXECUTORS.get(backend)().execute(
+        ExecutionContext(
+            spec_list=specs,
+            indices=range(len(specs)),
+            workers=2,
+            policy=PointPolicy(max_retries=1),
+            on_complete=on_complete,
+        )
+    )
+    assert delivered == {0: 1, 1: 1}
