@@ -17,6 +17,7 @@ from repro.core.ghost import GhostGraph
 from repro.core.xheal import Xheal
 from repro.harness.reporting import print_table
 from repro.harness.workloads import random_regular_workload, star_workload
+from repro.perf.engine import MetricsEngine
 
 
 def _run(graph, adversary, steps, kappa=6, seed=11):
@@ -46,7 +47,9 @@ def expansion_rows():
     ]
     for name, graph, adversary, steps in cases:
         healer, ghost = _run(graph, adversary, steps)
-        result = check_expansion_invariant(healer.graph, ghost, alpha=1.0, exact_limit=0)
+        result = check_expansion_invariant(
+            healer.graph, ghost, alpha=1.0, engine=MetricsEngine(exact_limit=0)
+        )
         rows.append(
             {
                 "workload": name,

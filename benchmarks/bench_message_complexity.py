@@ -51,7 +51,7 @@ def _run_size(n, steps):
         "measured amortized msgs": round(summary.amortized_messages, 1),
         "kappa*log2(n)*A(p)": round(KAPPA * math.log2(n) * summary.lower_bound, 1),
         "overhead vs A(p)": round(summary.overhead_vs_lower_bound, 1),
-        "max rounds": healer.max_rounds(),
+        "max rounds": summary.max_rounds,
         "log2(n)": round(math.log2(n), 1),
     }
 

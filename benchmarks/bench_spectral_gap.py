@@ -16,6 +16,7 @@ from repro.core.ghost import GhostGraph
 from repro.core.xheal import Xheal
 from repro.harness.reporting import print_table
 from repro.harness.workloads import random_regular_workload
+from repro.perf.engine import MetricsEngine
 
 
 def _run(graph, adversary, steps, kappa):
@@ -45,7 +46,9 @@ def spectral_rows():
     ):
         graph = random_regular_workload(48, degree, seed=5)
         healer, ghost = _run(graph, adversary_factory(), steps=18, kappa=kappa)
-        result = check_spectral_invariant(healer.graph, ghost, kappa=kappa)
+        result = check_spectral_invariant(
+            healer.graph, ghost, kappa=kappa, engine=MetricsEngine()
+        )
         rows.append(
             {
                 "workload": f"random-regular d={degree}",

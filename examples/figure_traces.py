@@ -4,7 +4,8 @@ The paper's six figures are diagrams, not measurements.  This script
 regenerates each of them as a structural trace of the actual data structures
 the library builds, so a reader can line the output up against the paper:
 
-* Figure 1 — the model loop (adversarial event, then healing) as an event log.
+* Figure 1 — the model loop (adversarial event, then healing) as the repair
+  report of each step, followed by the cloud registry it leaves behind.
 * Figure 2 — a node belonging to several primary clouds.
 * Figure 3 — Case 2.2: a deleted bridge node, its secondary cloud F and the
   affected primary clouds.
@@ -25,9 +26,9 @@ import networkx as nx
 
 from repro.core.clouds import CloudKind
 from repro.core.colors import BLACK
+from repro.core.events import RepairReport
 from repro.core.xheal import Xheal
 from repro.harness.workloads import star_workload
-from repro.util.eventlog import EventKind
 
 
 def banner(title: str) -> None:
@@ -37,14 +38,34 @@ def banner(title: str) -> None:
     print("=" * 72)
 
 
+def show_report(report: RepairReport) -> None:
+    """Print one step's adversarial event and what the healer did about it."""
+    if report.inserted_node is not None:
+        event = f"insert {report.inserted_node}"
+    else:
+        event = f"delete {report.deleted_node}"
+    print(f"  t={report.timestep:<2} {event:<10} action={report.action.value:<21} "
+          f"clouds created={report.clouds_created} repaired={report.clouds_repaired} "
+          f"merged={report.clouds_merged}; edges +{len(report.edges_added)} "
+          f"-{len(report.edges_removed)} recoloured {len(report.edges_recolored)}")
+
+
+def show_registry(healer: Xheal) -> None:
+    """Print every live cloud: kind, members, edge count and bridge nodes."""
+    for cloud in healer.registry.clouds():
+        bridges = f" bridges={dict(sorted(cloud.bridge_of.items()))}" if cloud.is_secondary else ""
+        print(f"    cloud {cloud.cloud_id} ({cloud.kind.value}) members={sorted(cloud.members)} "
+              f"edges={len(cloud.edges)}{bridges}")
+
+
 def figure_1_and_4() -> Xheal:
     banner("Figure 1 / Figure 4 — model loop and Case 1 repair (star centre deleted)")
     healer = Xheal(kappa=4, seed=2)
     healer.initialize(star_workload(10))
-    healer.handle_insertion(100, [1, 2])
-    healer.handle_deletion(0)
-    for event in healer.event_log:
-        print(f"  t={event.timestep:<2} {event.kind.value:<18} {event.payload}")
+    show_report(healer.handle_insertion(100, [1, 2]))
+    show_report(healer.handle_deletion(0))
+    print("  cloud registry:")
+    show_registry(healer)
     cloud = healer.registry.clouds(CloudKind.PRIMARY)[0]
     print(f"  -> ball of node 0 replaced by expander cloud {cloud.cloud_id} "
           f"over {sorted(cloud.members)} with {len(cloud.edges)} colored edges")
@@ -61,8 +82,10 @@ def figure_2_and_3() -> None:
     graph.add_edges_from((1, leaf) for leaf in range(6, 14))
     healer = Xheal(kappa=4, seed=4)
     healer.initialize(graph)
-    healer.handle_deletion(0)
-    healer.handle_deletion(1)
+    show_report(healer.handle_deletion(0))
+    show_report(healer.handle_deletion(1))
+    print("  cloud registry:")
+    show_registry(healer)
     shared = [
         node for node in healer.graph.nodes()
         if len(healer.registry.primary_clouds_of(node)) >= 2
@@ -78,25 +101,21 @@ def figure_2_and_3() -> None:
         target = sorted(secondaries[0].members)[0]
         print(f"  deleting bridge node {target} (Figure 3's x, part of secondary cloud "
               f"{secondaries[0].cloud_id} = F)...")
-        report = healer.handle_deletion(target)
-        print(f"  -> repair action: {report.action.value}; "
-              f"clouds repaired {report.clouds_repaired}, created {report.clouds_created}, "
-              f"merged {report.clouds_merged}")
+        show_report(healer.handle_deletion(target))
     print(f"  network still connected: {nx.is_connected(healer.graph)}")
 
 
 def figure_5_and_6(healer: Xheal) -> None:
     banner("Figure 5 / Figure 6 — G_t vs G'_t colours after insertions and repairs")
-    healer.handle_insertion(200, [1, 3])
+    show_report(healer.handle_insertion(200, [1, 3]))
     black = sum(1 for _, _, data in healer.graph.edges(data=True) if data["color"] is BLACK)
     colored = healer.graph.number_of_edges() - black
     print(f"  G_t now has {black} black edges (original + adversary) and "
           f"{colored} colored edges (healing clouds).")
     print("  G'_t would contain only the black-origin edges, including those of deleted nodes.")
     member = sorted(healer.registry.clouds(CloudKind.PRIMARY)[0].members)[1]
-    report = healer.handle_deletion(member)
-    print(f"  deleting cloud member {member} (Figure 6): action={report.action.value}, "
-          f"new clouds {report.clouds_created}, edges added {len(report.edges_added)}")
+    print(f"  deleting cloud member {member} (Figure 6)...")
+    show_report(healer.handle_deletion(member))
     by_kind = healer.cloud_summary()
     print(f"  cloud inventory: {by_kind}")
 

@@ -23,7 +23,6 @@ from repro.analysis.invariants import (
     check_expansion_invariant,
     check_spectral_invariant,
     check_stretch_invariant,
-    check_theorem2,
 )
 from repro.analysis.amortized import (
     AmortizedCostSummary,
@@ -43,7 +42,6 @@ __all__ = [
     "check_expansion_invariant",
     "check_spectral_invariant",
     "check_stretch_invariant",
-    "check_theorem2",
     "AmortizedCostSummary",
     "CostLedger",
     "lemma5_lower_bound",

@@ -6,13 +6,15 @@ theorem promises, and a boolean verdict.  The experiment harness evaluates
 them on a cadence; the property-based tests evaluate them after every single
 adversarial event.
 
-Every expensive checker accepts an optional
-:class:`~repro.perf.engine.MetricsEngine` (plus the healed graph's version):
-when given, expansion / lambda / stretch values are served from the engine's
-version-keyed cache, so an invariant check right after a metric snapshot of
-the same graph version costs nothing.  With an engine the engine's fidelity
-configuration (exact limit, sample count, seed) wins over the per-call
-``exact_limit`` / ``sample_pairs`` / ``seed`` arguments.
+Every expensive checker measures through a
+:class:`~repro.perf.engine.MetricsEngine`, whose fidelity configuration
+(exact limit, stretch sample count, seed) it inherits.  Given the healed
+graph's version, expansion / lambda / stretch values are served from the
+engine's version-keyed cache, so an invariant check right after a metric
+snapshot of the same graph version costs nothing; a fresh engine with no
+versions passed measures from scratch.
+:meth:`~repro.perf.engine.MetricsEngine.check_theorem2` bundles all four
+checks into a :class:`Theorem2Verdict`.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from typing import TYPE_CHECKING
 import networkx as nx
 
 from repro.core.ghost import GhostGraph
-from repro.spectral.expansion import DEFAULT_EXACT_LIMIT, edge_expansion
-from repro.spectral.laplacian import algebraic_connectivity, theorem2_lambda_lower_bound
-from repro.spectral.stretch import stretch_against_ghost
+from repro.spectral.laplacian import theorem2_lambda_lower_bound
 from repro.util.ids import NodeId
 
 if TYPE_CHECKING:  # avoids a runtime import cycle: the engine imports nothing from here at import time
@@ -140,9 +140,8 @@ def check_stretch_invariant(
     healed: nx.Graph,
     ghost: GhostGraph,
     allowed_constant: float = 4.0,
-    sample_pairs: int | None = 200,
-    seed: int = 0,
-    engine: "MetricsEngine | None" = None,
+    *,
+    engine: "MetricsEngine",
     healed_version: int | None = None,
 ) -> StretchInvariantResult:
     """Check that the maximum stretch is at most ``allowed_constant * log2(n)``.
@@ -153,22 +152,16 @@ def check_stretch_invariant(
     n = max(2, ghost.number_of_nodes())
     log_n = math.log2(n)
     bound = allowed_constant * max(1.0, log_n)
-    common = set(healed.nodes()) & ghost.alive_nodes()
-    if len(common) < 2:
-        return StretchInvariantResult(True, 0.0, log_n, allowed_constant, bound)
-    if engine is not None:
+    summary = None
+    if len(set(healed.nodes()) & ghost.alive_nodes()) >= 2:
         summary = engine.stretch_summary(
             healed,
             ghost.alive_subgraph,
             healed_version=healed_version,
             ghost_version=ghost.version,
         )
-        if summary is None:
-            return StretchInvariantResult(True, 0.0, log_n, allowed_constant, bound)
-    else:
-        summary = stretch_against_ghost(
-            healed, ghost.alive_subgraph(), sample_pairs=sample_pairs, seed=seed
-        )
+    if summary is None:
+        return StretchInvariantResult(True, 0.0, log_n, allowed_constant, bound)
     return StretchInvariantResult(
         holds=summary.max_stretch <= bound,
         max_stretch=summary.max_stretch,
@@ -182,9 +175,8 @@ def check_expansion_invariant(
     healed: nx.Graph,
     ghost: GhostGraph,
     alpha: float = 1.0,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-    seed: int = 0,
-    engine: "MetricsEngine | None" = None,
+    *,
+    engine: "MetricsEngine",
     healed_version: int | None = None,
 ) -> ExpansionInvariantResult:
     """Check ``h(G_t) >= min(alpha, h(G'_t))``.
@@ -199,15 +191,9 @@ def check_expansion_invariant(
     ghost_full = ghost.graph
     if healed.number_of_nodes() < 2 or ghost_full.number_of_nodes() < 2:
         return ExpansionInvariantResult(True, 0.0, 0.0, alpha, 0.0)
-    if engine is not None:
-        healed_h = engine.edge_expansion(healed, version=healed_version, label="healed")
-        # Keyed on graph_version: deletions never change the full ghost graph.
-        ghost_h = engine.edge_expansion(
-            ghost_full, version=ghost.graph_version, label="ghost_full"
-        )
-    else:
-        healed_h = edge_expansion(healed, exact_limit=exact_limit, seed=seed)
-        ghost_h = edge_expansion(ghost_full, exact_limit=exact_limit, seed=seed)
+    healed_h = engine.edge_expansion(healed, version=healed_version, label="healed")
+    # Keyed on graph_version: deletions never change the full ghost graph.
+    ghost_h = engine.edge_expansion(ghost_full, version=ghost.graph_version, label="ghost_full")
     bound = min(alpha, ghost_h)
     tolerance = 1e-9
     return ExpansionInvariantResult(
@@ -223,7 +209,8 @@ def check_spectral_invariant(
     healed: nx.Graph,
     ghost: GhostGraph,
     kappa: int,
-    engine: "MetricsEngine | None" = None,
+    *,
+    engine: "MetricsEngine",
     healed_version: int | None = None,
 ) -> SpectralInvariantResult:
     """Check the explicit Theorem 2(4) lower bound on ``lambda(G_t)``.
@@ -234,16 +221,10 @@ def check_spectral_invariant(
     ghost_full = ghost.graph
     if healed.number_of_nodes() < 2 or ghost_full.number_of_nodes() < 2:
         return SpectralInvariantResult(True, 0.0, 0.0, 0.0)
-    if engine is not None:
-        healed_lambda = engine.algebraic_connectivity(
-            healed, version=healed_version, label="healed"
-        )
-        ghost_lambda = engine.algebraic_connectivity(
-            ghost_full, version=ghost.graph_version, label="ghost_full"
-        )
-    else:
-        healed_lambda = algebraic_connectivity(healed)
-        ghost_lambda = algebraic_connectivity(ghost_full)
+    healed_lambda = engine.algebraic_connectivity(healed, version=healed_version, label="healed")
+    ghost_lambda = engine.algebraic_connectivity(
+        ghost_full, version=ghost.graph_version, label="ghost_full"
+    )
     degrees = [degree for _, degree in ghost_full.degree()]
     d_min = max(1, min(degrees)) if degrees else 1
     d_max = max(1, max(degrees)) if degrees else 1
@@ -254,53 +235,4 @@ def check_spectral_invariant(
         healed_lambda=healed_lambda,
         ghost_lambda=ghost_lambda,
         bound=bound,
-    )
-
-
-def check_theorem2(
-    healed: nx.Graph,
-    ghost: GhostGraph,
-    kappa: int,
-    alpha: float = 1.0,
-    stretch_constant: float = 4.0,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-    sample_pairs: int | None = 200,
-    seed: int = 0,
-    engine: "MetricsEngine | None" = None,
-    healed_version: int | None = None,
-) -> Theorem2Verdict:
-    """Evaluate all four Theorem 2 guarantees plus connectivity.
-
-    When ``engine`` (and ``healed_version``) are given, every expensive
-    quantity is served from the engine's version-keyed cache — a verdict
-    taken right after a snapshot of the same graph versions is free.
-    """
-    if engine is not None:
-        connected = engine.connected(healed, version=healed_version, label="healed")
-    else:
-        connected = healed.number_of_nodes() <= 1 or nx.is_connected(healed)
-    return Theorem2Verdict(
-        degree=check_degree_invariant(healed, ghost, kappa),
-        stretch=check_stretch_invariant(
-            healed,
-            ghost,
-            allowed_constant=stretch_constant,
-            sample_pairs=sample_pairs,
-            seed=seed,
-            engine=engine,
-            healed_version=healed_version,
-        ),
-        expansion=check_expansion_invariant(
-            healed,
-            ghost,
-            alpha=alpha,
-            exact_limit=exact_limit,
-            seed=seed,
-            engine=engine,
-            healed_version=healed_version,
-        ),
-        spectral=check_spectral_invariant(
-            healed, ghost, kappa, engine=engine, healed_version=healed_version
-        ),
-        connected=connected,
     )

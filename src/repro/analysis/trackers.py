@@ -1,9 +1,10 @@
 """Cheap per-timestep trackers used during long experiment runs.
 
 Spectral quantities are expensive to recompute after every adversarial event,
-so the harness records them on a cadence through :class:`MetricTimeline`,
-while :class:`DegreeRatioTracker` keeps the (cheap) degree-ratio invariant up
-to date after every single event.
+so the harness records them on a cadence through :class:`MetricTimeline`
+(which measures through a :class:`~repro.perf.engine.MetricsEngine`), while
+:class:`DegreeRatioTracker` keeps the (cheap) degree-ratio invariant up to
+date after every single event.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.ghost import GhostGraph
-from repro.spectral.metrics import GraphMetrics, snapshot_metrics
+from repro.spectral.metrics import GraphMetrics
 from repro.util.ids import NodeId
 
 if TYPE_CHECKING:
@@ -128,16 +129,13 @@ class TimelineEntry:
 class MetricTimeline:
     """A time series of :class:`~repro.spectral.metrics.GraphMetrics` snapshots.
 
-    When an ``engine`` is attached, snapshots are routed through its
-    version-keyed cache (the engine's fidelity configuration wins over the
-    ``exact_limit`` / ``stretch_sample_pairs`` fields, which the harness keeps
-    in sync anyway); without one the original stand-alone path is used.
+    Snapshots go through ``engine``'s version-keyed cache, at its fidelity
+    configuration, so a row and a Theorem-2 check of the same graph versions
+    share every kernel evaluation.
     """
 
-    exact_limit: int = 16
-    stretch_sample_pairs: int | None = 100
+    engine: "MetricsEngine"
     entries: list[TimelineEntry] = field(default_factory=list)
-    engine: "MetricsEngine | None" = None
 
     def record(
         self,
@@ -149,27 +147,16 @@ class MetricTimeline:
     ) -> TimelineEntry:
         """Snapshot both graphs and append a timeline entry."""
         ghost_alive = ghost.alive_subgraph()
-        if self.engine is not None:
-            healed_metrics = self.engine.snapshot(
-                healed,
-                ghost=ghost_alive,
-                version=healed_version,
-                ghost_version=ghost.version,
-                label="healed",
-            )
-            ghost_metrics = self.engine.snapshot(
-                ghost_alive, version=ghost.version, label="ghost_alive"
-            )
-        else:
-            healed_metrics = snapshot_metrics(
-                healed,
-                ghost=ghost_alive,
-                exact_limit=self.exact_limit,
-                stretch_sample_pairs=self.stretch_sample_pairs,
-            )
-            ghost_metrics = snapshot_metrics(
-                ghost_alive, exact_limit=self.exact_limit, stretch_sample_pairs=None
-            )
+        healed_metrics = self.engine.snapshot(
+            healed,
+            ghost=ghost_alive,
+            version=healed_version,
+            ghost_version=ghost.version,
+            label="healed",
+        )
+        ghost_metrics = self.engine.snapshot(
+            ghost_alive, version=ghost.version, label="ghost_alive"
+        )
         entry = TimelineEntry(
             timestep=timestep,
             healed=healed_metrics,

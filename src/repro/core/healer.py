@@ -23,7 +23,6 @@ import networkx as nx
 from repro.core.colors import BLACK, EdgeColor
 from repro.core.edgestore import EdgeStore
 from repro.core.events import RepairAction, RepairReport
-from repro.util.eventlog import EventKind, EventLog
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 from repro.util.validation import require
@@ -33,9 +32,10 @@ class SelfHealer(ABC):
     """Abstract base class for self-healing algorithms.
 
     Subclasses implement :meth:`_heal_after_deletion`; everything else
-    (graph ownership, insertion handling, bookkeeping, event logging) is
-    provided here so that Xheal and the baselines are driven identically by
-    the experiment harness.
+    (graph ownership, insertion handling, bookkeeping) is provided here so
+    that Xheal and the baselines are driven identically by the experiment
+    harness.  The :class:`~repro.core.events.RepairReport` each event
+    returns is the only record of what the healer did.
     """
 
     #: Human-readable algorithm name (overridden by subclasses).
@@ -48,7 +48,6 @@ class SelfHealer(ABC):
         self._graph_version = 0
         self._materialized: nx.Graph | None = None
         self._materialized_version = -1
-        self.event_log = EventLog()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -66,7 +65,6 @@ class SelfHealer(ABC):
         self._materialized_version = -1
         self._timestep = 0
         self._bump_graph_version()
-        self.event_log.clear()
         self._after_initialize()
 
     def _after_initialize(self) -> None:
@@ -89,7 +87,6 @@ class SelfHealer(ABC):
         report = RepairReport(
             timestep=self._timestep, inserted_node=node, action=RepairAction.INSERTION
         )
-        self.event_log.record(self._timestep, EventKind.INSERT, node=node, neighbors=neighbor_list)
         self._after_insertion(node, neighbor_list, report)
         return report
 
@@ -104,7 +101,6 @@ class SelfHealer(ABC):
         }
         self._graph.remove_node(node)
         report = RepairReport(timestep=self._timestep, deleted_node=node)
-        self.event_log.record(self._timestep, EventKind.DELETE, node=node, neighbors=neighbors)
         self._heal_after_deletion(node, neighbors, incident_colors, report)
         return report
 

@@ -57,7 +57,6 @@ from repro.core.events import RepairAction, RepairReport
 from repro.core.healer import SelfHealer
 from repro.scenarios.registry import register_healer
 from repro.expanders.construction import expander_or_clique
-from repro.util.eventlog import EventKind
 from repro.util.ids import NodeId
 from repro.util.validation import require
 
@@ -155,10 +154,6 @@ class Xheal(SelfHealer):
         cloud = self.registry.new_primary_cloud(black_neighbors)
         report.clouds_created.append(cloud.cloud_id)
         self._rebuild_cloud_edges(cloud, report)
-        self.event_log.record(
-            report.timestep, EventKind.CLOUD_CREATED,
-            cloud=cloud.cloud_id, cloud_kind="primary", members=sorted(cloud.members),
-        )
         self._account_repair(report, nodes_touched=len(black_neighbors), merged=False)
 
     # ------------------------------------------------------------------ case 2.1
@@ -221,9 +216,6 @@ class Xheal(SelfHealer):
                 continue
             self._rebuild_cloud_edges(cloud, report)
             report.clouds_repaired.append(cloud_id)
-            self.event_log.record(
-                report.timestep, EventKind.CLOUD_REPAIRED, cloud=cloud_id, cloud_kind="primary"
-            )
 
     # ------------------------------------------------------------------ MakeSecondary
 
@@ -260,10 +252,6 @@ class Xheal(SelfHealer):
         secondary = self.registry.new_secondary_cloud(assignment)
         report.clouds_created.append(secondary.cloud_id)
         self._rebuild_cloud_edges(secondary, report)
-        self.event_log.record(
-            report.timestep, EventKind.SECONDARY_CREATED,
-            cloud=secondary.cloud_id, bridges=dict(assignment),
-        )
         return len(assignment)
 
     def _assign_free_nodes(
@@ -373,10 +361,6 @@ class Xheal(SelfHealer):
         self.registry.set_bridge(secondary_id, association if association is not None else source_cloud, replacement)
         self._rebuild_cloud_edges(secondary, report)
         report.clouds_repaired.append(secondary_id)
-        self.event_log.record(
-            report.timestep, EventKind.SECONDARY_REPAIRED,
-            cloud=secondary_id, new_bridge=replacement,
-        )
         return association if association is not None else source_cloud
 
     # ------------------------------------------------------------------ merging
@@ -401,10 +385,6 @@ class Xheal(SelfHealer):
         report.clouds_created.append(merged.cloud_id)
         self.registry.redirect_bridges(live_ids, merged.cloud_id)
         self._rebuild_cloud_edges(merged, report)
-        self.event_log.record(
-            report.timestep, EventKind.CLOUD_MERGED,
-            merged_into=merged.cloud_id, sources=live_ids, size=merged.size(),
-        )
         return merged
 
     # ------------------------------------------------------------------ edge management

@@ -11,13 +11,13 @@ This subpackage simulates that model in-process:
   vice-leader, free-node lists at the leader).
 * :mod:`repro.distributed.network` — the synchronous round engine with
   message and round accounting per repair.
-* :mod:`repro.distributed.protocol` — :class:`DistributedXheal`, which takes
-  the same healing decisions as the centralized :class:`repro.core.Xheal`
-  (the LOCAL model allows the elected leader to compute the expander locally)
-  while realising every repair through explicit protocol phases — leader
-  election tournaments, cloud broadcasts, free-node queries, H-graph
-  insert/delete updates, and BFS-based cloud merges — whose messages and
-  rounds are measured, not estimated.
+* :mod:`repro.distributed.protocol` — :class:`DistributedXheal`, which follows
+  the centralized :class:`repro.core.Xheal`'s case analysis with
+  incrementally kept H-graph clouds (so its healed graphs differ from the
+  centralized ones) while realising every repair through explicit protocol
+  phases — leader election tournaments, cloud broadcasts, free-node queries,
+  H-graph insert/delete updates, and BFS-based cloud merges — whose messages
+  and rounds are measured, not estimated.
 
 Benchmark E6 uses the measured counts to verify Theorem 5's ``O(log n)``
 rounds per deletion and ``O(kappa log n · A(p))`` amortised messages.

@@ -8,7 +8,7 @@ communication-complexity metrics (Figure 1, success metrics 4 and 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.distributed.messages import Message
 from repro.distributed.node import Processor
@@ -24,11 +24,6 @@ class RepairStats:
     deleted_node: NodeId
     rounds: int = 0
     messages: int = 0
-    phases: list[str] = field(default_factory=list)
-
-    def note_phase(self, name: str) -> None:
-        """Record that a protocol phase ran during this repair."""
-        self.phases.append(name)
 
 
 class SynchronousNetwork:

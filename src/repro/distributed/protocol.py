@@ -1,8 +1,13 @@
 """DistributedXheal: the protocol-level implementation with measured costs.
 
-The healing *decisions* are exactly those of :class:`repro.core.Xheal` (the
-LOCAL model allows an elected leader to compute the new expander locally and
-unbounded message sizes, so decision-equivalence is faithful to Section 5).
+The healer follows the same case analysis as :class:`repro.core.Xheal`
+(Cases 1, 2.1 and 2.2, with the same free-node and merge rules; the LOCAL
+model lets an elected leader compute a cloud's expander locally).  Its cloud
+expanders, however, are Law-Siu H-graphs kept *incrementally* (see below),
+while the centralized healer re-randomises a cloud on every change, so the
+two healers build different healed graphs from the same trace: a cloud edge
+may claim an original black edge in one and not in the other, and later
+repairs then see different black neighbours.  Both must meet Theorem 2.
 What this class adds is the *realisation* of every repair through explicit
 protocol phases executed on a :class:`~repro.distributed.network.SynchronousNetwork`:
 
@@ -27,14 +32,12 @@ rebuild.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.clouds import Cloud
 from repro.core.colors import EdgeColor
 from repro.core.events import RepairReport
 from repro.core.xheal import Xheal, XhealConfig
 from repro.distributed.messages import Message, MessageKind
-from repro.distributed.network import RepairStats, SynchronousNetwork
+from repro.distributed.network import SynchronousNetwork
 from repro.expanders.construction import build_clique_edges, hamilton_cycle_count
 from repro.scenarios.registry import register_healer
 from repro.expanders.hgraph import HGraph
@@ -50,7 +53,6 @@ class DistributedXheal(Xheal):
     def __init__(self, config: XhealConfig | None = None, kappa: int | None = None, seed: int = 0):
         super().__init__(config=config, kappa=kappa, seed=seed)
         self.network = SynchronousNetwork()
-        self.repair_history: list[RepairStats] = []
         #: Per-cloud incremental H-graph (only for clouds large enough to use one).
         self._cloud_hgraphs: dict[int, HGraph] = {}
         #: Per-cloud (leader, vice_leader) as known by the protocol layer.
@@ -61,7 +63,6 @@ class DistributedXheal(Xheal):
     def _after_initialize(self) -> None:
         super()._after_initialize()
         self.network = SynchronousNetwork()
-        self.repair_history = []
         self._cloud_hgraphs = {}
         self._cloud_leaders = {}
         for node in self._graph.nodes():
@@ -78,32 +79,24 @@ class DistributedXheal(Xheal):
     def handle_deletion(self, node: NodeId) -> RepairReport:
         timestep = self._timestep + 1
         neighbors = sorted(self._graph.neighbors(node)) if node in self._graph else []
-        stats = self.network.begin_repair(timestep, node)
+        self.network.begin_repair(timestep, node)
         self.network.remove_processor(node)
-        # The model informs every ex-neighbour of the deletion (Figure 1).
-        if neighbors:
-            stats.note_phase("deletion_notice")
-            for first in neighbors:
-                if first in self.network:
-                    for second in self.network.processor(first).neighbors:
-                        if second == node and first in self.network:
-                            pass
-            # One notification message reaches each surviving ex-neighbour.
-            survivors = [neighbor for neighbor in neighbors if neighbor in self.network]
-            if survivors:
-                origin = survivors[0]
-                for neighbor in survivors:
-                    if neighbor != origin:
-                        self.network.post(
-                            Message(origin, neighbor, MessageKind.DELETION_NOTICE, {"deleted": node})
-                        )
-                self.network.run_round()
+        # The model informs every ex-neighbour of the deletion (Figure 1):
+        # one notification message reaches each surviving ex-neighbour.
+        survivors = [neighbor for neighbor in neighbors if neighbor in self.network]
+        if survivors:
+            origin = survivors[0]
+            for neighbor in survivors:
+                if neighbor != origin:
+                    self.network.post(
+                        Message(origin, neighbor, MessageKind.DELETION_NOTICE, {"deleted": node})
+                    )
+            self.network.run_round()
 
         report = super().handle_deletion(node)
 
         self._sync_processor_topology()
         finished = self.network.end_repair()
-        self.repair_history.append(finished)
         # Replace the analytical estimates with the measured protocol costs.
         report.messages = finished.messages
         report.rounds = finished.rounds
@@ -118,9 +111,6 @@ class DistributedXheal(Xheal):
             return None
         if len(survivors) == 1:
             return survivors[0]
-        stats = self.network._current_stats
-        if stats is not None:
-            stats.note_phase("leader_election")
         while len(survivors) > 1:
             next_round: list[NodeId] = []
             for i in range(0, len(survivors) - 1, 2):
@@ -140,9 +130,6 @@ class DistributedXheal(Xheal):
         members = sorted(node for node in cloud.members if node in self.network)
         if leader is None or leader not in self.network or not members:
             return
-        stats = self.network._current_stats
-        if stats is not None:
-            stats.note_phase(f"install_cloud_{cloud.cloud_id}")
         for member in members:
             if member != leader:
                 self.network.post(
@@ -178,9 +165,6 @@ class DistributedXheal(Xheal):
         members = sorted(node for node in cloud.members if node in self.network)
         if not members:
             return
-        stats = self.network._current_stats
-        if stats is not None:
-            stats.note_phase(f"repair_cloud_{cloud.cloud_id}")
         if leader is None or leader not in self.network:
             # The leader itself was deleted: the vice-leader promotes a new
             # random leader and informs the cloud (O(|C|) messages, O(1) rounds).
@@ -219,9 +203,6 @@ class DistributedXheal(Xheal):
 
     def _phase_free_node_queries(self, cloud_ids: list[int]) -> None:
         """One query + one reply per involved cloud leader (O(j) messages, O(1) rounds)."""
-        stats = self.network._current_stats
-        if stats is not None:
-            stats.note_phase("free_node_query")
         posted = False
         for cloud_id in cloud_ids:
             leader, _ = self._cloud_leaders.get(cloud_id, (None, None))
@@ -250,9 +231,6 @@ class DistributedXheal(Xheal):
         members = sorted(node for node in merged.members if node in self.network)
         if not members:
             return
-        stats = self.network._current_stats
-        if stats is not None:
-            stats.note_phase(f"merge_{merged.cloud_id}")
         leader = self._phase_leader_election(members)
         if leader is None:
             return
@@ -382,20 +360,3 @@ class DistributedXheal(Xheal):
                 view.free_members = {
                     node for node in cloud.members if self.registry.is_free(node)
                 }
-
-    # ------------------------------------------------------------------ measured summaries
-
-    def measured_costs(self) -> list[RepairStats]:
-        """Return the per-deletion measured repair statistics."""
-        return list(self.repair_history)
-
-    def max_rounds(self) -> int:
-        """Return the worst-case rounds over all repairs so far (0 if none)."""
-        if not self.repair_history:
-            return 0
-        return max(stats.rounds for stats in self.repair_history)
-
-    def log_n_round_ratio(self) -> float:
-        """Return max rounds divided by log2(n) — the Theorem 5 recovery-time shape."""
-        n = max(2, self._graph.number_of_nodes())
-        return self.max_rounds() / max(1.0, math.log2(n))

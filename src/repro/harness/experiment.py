@@ -292,11 +292,7 @@ def run_experiment(
         stretch_sample_pairs=config.stretch_sample_pairs,
         seed=config.seed,
     )
-    timeline = MetricTimeline(
-        exact_limit=config.exact_expansion_limit,
-        stretch_sample_pairs=config.stretch_sample_pairs,
-        engine=engine,
-    )
+    timeline = MetricTimeline(engine=engine)
     trace: list[AdversaryEvent] = []
     event_steps: list[int] = []
     verdicts: list[Theorem2Verdict] = []

@@ -1,10 +1,11 @@
 """The metrics engine: version-keyed caching + warm-started spectral solves.
 
-Every experiment step used to pay for metric snapshots that recompute
-everything from scratch, even when the graph had not changed between the
-final snapshot, the ghost snapshot and the Theorem-2 invariant checks.  The
-:class:`MetricsEngine` fixes that by memoising each kernel on a *version*
-the graph's owner maintains:
+:class:`MetricsEngine` is the one way the library measures a Theorem-2
+quantity: metric snapshots, timeline rows and invariant verdicts all go
+through it.  An experiment step would otherwise recompute everything from
+scratch even when the graph had not changed between the final snapshot, the
+ghost snapshot and the Theorem-2 invariant checks, so the engine memoises
+each kernel on a *version* the graph's owner maintains:
 
 * the healed graph's :attr:`repro.core.healer.SelfHealer.graph_version`
   (bumped on insertion, deletion, and every healing edge claim/release),
@@ -86,8 +87,8 @@ class MetricsEngine:
     exact expansion/conductance enumeration, ``stretch_sample_pairs`` the
     stretch sampling, and ``seed`` the sampled estimators.  They are fixed at
     construction so that cached values are always comparable; callers that
-    need different fidelity should use a second engine (or the plain
-    functions in :mod:`repro.spectral`).
+    need different fidelity use a second engine, and a one-off measurement
+    is a fresh engine called with no versions.
 
     ``label`` arguments name independent graph streams ("healed",
     "ghost_full", "ghost_alive", ...) so one engine can serve several graphs
@@ -271,10 +272,10 @@ class MetricsEngine:
     ) -> GraphMetrics:
         """Compute (or fetch) a full :class:`GraphMetrics` snapshot of ``graph``.
 
-        Equivalent to :func:`repro.spectral.metrics.snapshot_metrics` with this
-        engine's fidelity parameters; every constituent kernel goes through
-        the version cache, so a snapshot followed by an invariant check of the
-        same graph version recomputes nothing.
+        Every constituent kernel goes through the version cache, so a
+        snapshot followed by an invariant check of the same graph version
+        recomputes nothing.  When ``ghost`` is given and shares at least two
+        nodes with ``graph``, stretch statistics against it are included.
         """
         key = ("snapshot", label, ghost is not None)
         # With a ghost, an unknown ghost_version must bypass the cache (None is
@@ -335,26 +336,34 @@ class MetricsEngine:
         alpha: float = 1.0,
         stretch_constant: float = 4.0,
     ):
-        """Engine-accelerated :func:`repro.analysis.invariants.check_theorem2`.
+        """Evaluate all four Theorem 2 guarantees plus connectivity.
 
-        The ghost version is read off the :class:`GhostGraph` itself; every
-        expensive quantity (expansion, lambda, stretch, connectivity) is
-        served from the version cache when a snapshot of the same graph
-        version was already taken.
+        The ghost versions are read off the :class:`GhostGraph` itself; with
+        ``healed_version`` every expensive quantity (expansion, lambda,
+        stretch, connectivity) is served from the version cache when a
+        snapshot of the same graph version was already taken.
         """
-        from repro.analysis.invariants import check_theorem2
+        from repro.analysis.invariants import (
+            Theorem2Verdict,
+            check_degree_invariant,
+            check_expansion_invariant,
+            check_spectral_invariant,
+            check_stretch_invariant,
+        )
 
-        return check_theorem2(
-            healed,
-            ghost,
-            kappa=kappa,
-            alpha=alpha,
-            stretch_constant=stretch_constant,
-            exact_limit=self.exact_limit,
-            sample_pairs=self.stretch_sample_pairs,
-            seed=self.seed,
-            engine=self,
-            healed_version=healed_version,
+        connected = self.connected(healed, version=healed_version, label="healed")
+        return Theorem2Verdict(
+            degree=check_degree_invariant(healed, ghost, kappa),
+            stretch=check_stretch_invariant(
+                healed, ghost, stretch_constant, engine=self, healed_version=healed_version
+            ),
+            expansion=check_expansion_invariant(
+                healed, ghost, alpha, engine=self, healed_version=healed_version
+            ),
+            spectral=check_spectral_invariant(
+                healed, ghost, kappa, engine=self, healed_version=healed_version
+            ),
+            connected=connected,
         )
 
     # -- diagnostics --------------------------------------------------------------

@@ -74,6 +74,15 @@ def _check_signature(component, kwargs: dict, what: str, seed_injected: bool) ->
         ) from None
 
 
+#: Field annotation -> (Python type, its name in error messages).  ``bool``
+#: is an ``int`` subclass but never a valid count, seed or kwargs dict.
+_FIELD_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "dict": (dict, "a JSON object"),
+}
+
+
 def _accepts_param(component, name: str) -> bool:
     """Return whether ``component`` takes an explicit keyword named ``name``."""
     try:
@@ -142,8 +151,20 @@ class ScenarioSpec:
         Unknown component names raise
         :class:`~repro.scenarios.registry.UnknownNameError` with the list of
         registered names and a nearest-match suggestion; kwargs that do not
-        fit the component's signature name the accepted parameters.
+        fit the component's signature name the accepted parameters.  Every
+        field must have its annotated type (``int`` fields reject ``bool``).
         """
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            kind, _, optional = spec_field.type.partition(" | ")
+            expected, described = _FIELD_TYPES[kind]
+            if value is None and optional:
+                continue
+            require(
+                isinstance(value, expected) and not isinstance(value, bool),
+                f"{spec_field.name} must be {described}{' or null' if optional else ''}, "
+                f"got {value!r}",
+            )
         healer_cls = HEALERS.get(self.healer)
         adversary_cls = ADVERSARIES.get(self.adversary)
         topology_fn = TOPOLOGIES.get(self.topology)

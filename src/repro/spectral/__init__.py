@@ -55,7 +55,7 @@ from repro.spectral.mixing import (
     mixing_time_bound_from_lambda,
     spectral_mixing_time,
 )
-from repro.spectral.metrics import GraphMetrics, compare_metrics, snapshot_metrics
+from repro.spectral.metrics import GraphMetrics, compare_metrics
 
 __all__ = [
     "crossing_edges_of_cut",
@@ -88,5 +88,4 @@ __all__ = [
     "spectral_mixing_time",
     "GraphMetrics",
     "compare_metrics",
-    "snapshot_metrics",
 ]

@@ -2,20 +2,13 @@
 
 A :class:`GraphMetrics` snapshot bundles every quantity Theorem 2 talks about
 so the harness can record one row per timestep and the report printers can
-emit the paper-style comparison tables.
+emit the paper-style comparison tables.  Snapshots are taken by
+:meth:`repro.perf.engine.MetricsEngine.snapshot`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-
-import networkx as nx
-
-from repro.spectral.cheeger import cheeger_constant
-from repro.spectral.expansion import DEFAULT_EXACT_LIMIT, edge_expansion
-from repro.spectral.laplacian import algebraic_connectivity, normalized_laplacian_second_eigenvalue
-from repro.spectral.stretch import stretch_against_ghost
-from repro.util.graphutils import max_degree, min_degree
 
 
 @dataclass(frozen=True)
@@ -37,65 +30,6 @@ class GraphMetrics:
     def as_dict(self) -> dict:
         """Return a plain-dict view (for recorders and report printers)."""
         return asdict(self)
-
-
-def snapshot_metrics(
-    graph: nx.Graph,
-    ghost: nx.Graph | None = None,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-    stretch_sample_pairs: int | None = 200,
-    seed: int = 0,
-) -> GraphMetrics:
-    """Compute a :class:`GraphMetrics` snapshot of ``graph``.
-
-    When ``ghost`` is provided and both graphs share at least two nodes,
-    stretch statistics against the ghost graph are included.
-
-    This is the stand-alone, uncached path.  Loops that snapshot the same
-    graph repeatedly should go through
-    :meth:`repro.perf.engine.MetricsEngine.snapshot`, which memoises every
-    constituent kernel on the graph's version counter.
-    """
-    n = graph.number_of_nodes()
-    if n < 2:
-        return GraphMetrics(
-            nodes=n,
-            edges=graph.number_of_edges(),
-            connected=n == 1,
-            max_degree=max_degree(graph),
-            min_degree=min_degree(graph),
-            edge_expansion=0.0,
-            cheeger_constant=0.0,
-            algebraic_connectivity=0.0,
-            normalized_lambda2=0.0,
-        )
-
-    connected = nx.is_connected(graph)
-    expansion = edge_expansion(graph, exact_limit=exact_limit, seed=seed)
-    conductance = cheeger_constant(graph, exact_limit=exact_limit, seed=seed)
-    lambda2 = algebraic_connectivity(graph)
-    normalized = normalized_laplacian_second_eigenvalue(graph)
-
-    max_s: float | None = None
-    avg_s: float | None = None
-    if ghost is not None and len(set(graph.nodes()) & set(ghost.nodes())) >= 2:
-        summary = stretch_against_ghost(graph, ghost, sample_pairs=stretch_sample_pairs, seed=seed)
-        max_s = summary.max_stretch
-        avg_s = summary.average_stretch
-
-    return GraphMetrics(
-        nodes=n,
-        edges=graph.number_of_edges(),
-        connected=connected,
-        max_degree=max_degree(graph),
-        min_degree=min_degree(graph),
-        edge_expansion=expansion,
-        cheeger_constant=conductance,
-        algebraic_connectivity=lambda2,
-        normalized_lambda2=normalized,
-        max_stretch=max_s,
-        average_stretch=avg_s,
-    )
 
 
 def compare_metrics(healed: GraphMetrics, ghost: GraphMetrics) -> dict[str, float]:

@@ -22,7 +22,6 @@ from repro.util.validation import (
     require_positive,
     require_probability,
 )
-from repro.util.eventlog import Event, EventKind, EventLog
 
 __all__ = [
     "IdAllocator",
@@ -41,7 +40,4 @@ __all__ = [
     "require_non_negative",
     "require_positive",
     "require_probability",
-    "Event",
-    "EventKind",
-    "EventLog",
 ]

@@ -36,15 +36,19 @@ def xheal_on_regular(small_regular_graph) -> tuple[Xheal, GhostGraph]:
 
 
 def drive(healer, ghost, adversary, steps):
-    """Drive ``healer`` and ``ghost`` with ``adversary`` for up to ``steps`` events."""
+    """Drive ``healer`` and ``ghost`` with ``adversary`` for up to ``steps`` events.
+
+    Returns the healer's :class:`~repro.core.events.RepairReport` of every event.
+    """
+    reports = []
     for timestep in range(steps):
         event = adversary.next_event(healer.graph, timestep)
         if event is None:
             break
         if event.is_deletion:
             ghost.record_deletion(event.node)
-            healer.handle_deletion(event.node)
+            reports.append(healer.handle_deletion(event.node))
         else:
             ghost.record_insertion(event.node, event.neighbors)
-            healer.handle_insertion(event.node, event.neighbors)
-    return healer, ghost
+            reports.append(healer.handle_insertion(event.node, event.neighbors))
+    return reports

@@ -12,6 +12,7 @@ from repro.analysis.amortized import (
 )
 from repro.analysis.trackers import DegreeRatioTracker, MetricTimeline
 from repro.core.ghost import GhostGraph
+from repro.perf.engine import MetricsEngine
 from repro.util.validation import ValidationError
 
 
@@ -81,7 +82,7 @@ def test_degree_ratio_tracker_detects_bound():
 def test_metric_timeline_records_and_series():
     graph = nx.random_regular_graph(4, 12, seed=2)
     ghost = GhostGraph(graph)
-    timeline = MetricTimeline(exact_limit=12, stretch_sample_pairs=None)
+    timeline = MetricTimeline(engine=MetricsEngine(exact_limit=12, stretch_sample_pairs=None))
     timeline.record(1, graph, ghost, worst_degree_ratio=1.0)
     smaller = graph.copy()
     smaller.remove_node(0)
@@ -96,4 +97,4 @@ def test_metric_timeline_records_and_series():
 
 
 def test_metric_timeline_empty_final():
-    assert MetricTimeline().final() is None
+    assert MetricTimeline(engine=MetricsEngine()).final() is None

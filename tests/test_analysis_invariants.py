@@ -8,9 +8,9 @@ from repro.analysis.invariants import (
     check_expansion_invariant,
     check_spectral_invariant,
     check_stretch_invariant,
-    check_theorem2,
 )
 from repro.core.ghost import GhostGraph
+from repro.perf.engine import MetricsEngine
 
 
 def identical_setup(n=16, degree=4, seed=1):
@@ -42,7 +42,7 @@ def test_degree_invariant_detects_violation():
 
 def test_stretch_invariant_identical_graphs():
     graph, ghost = identical_setup()
-    result = check_stretch_invariant(graph, ghost, sample_pairs=None)
+    result = check_stretch_invariant(graph, ghost, engine=MetricsEngine(stretch_sample_pairs=None))
     assert result.holds
     assert result.max_stretch == pytest.approx(1.0)
 
@@ -51,7 +51,9 @@ def test_stretch_invariant_violated_by_path_replacement():
     ghost_graph = nx.complete_graph(40)
     ghost = GhostGraph(ghost_graph)
     healed = nx.path_graph(40)  # distances blow up from 1 to up to 39 >> 4 log2(40)
-    result = check_stretch_invariant(healed, ghost, allowed_constant=4.0, sample_pairs=None)
+    result = check_stretch_invariant(
+        healed, ghost, allowed_constant=4.0, engine=MetricsEngine(stretch_sample_pairs=None)
+    )
     assert not result.holds
     assert result.max_stretch > result.bound
 
@@ -60,13 +62,13 @@ def test_stretch_invariant_too_few_common_nodes():
     ghost = GhostGraph(nx.path_graph(3))
     healed = nx.Graph()
     healed.add_node(0)
-    result = check_stretch_invariant(healed, ghost)
+    result = check_stretch_invariant(healed, ghost, engine=MetricsEngine())
     assert result.holds
 
 
 def test_expansion_invariant_identical_graphs():
     graph, ghost = identical_setup(n=14)
-    result = check_expansion_invariant(graph, ghost, exact_limit=14)
+    result = check_expansion_invariant(graph, ghost, engine=MetricsEngine(exact_limit=14))
     assert result.holds
     assert result.healed_expansion == pytest.approx(result.ghost_expansion)
 
@@ -77,13 +79,13 @@ def test_expansion_invariant_detects_tree_patch():
     ghost.record_deletion(0)
     # A path over the leaves: expansion ~ 2/n < min(1, h(G')) with h(G') = 1.
     healed = nx.path_graph(range(1, 16))
-    result = check_expansion_invariant(healed, ghost, exact_limit=15)
+    result = check_expansion_invariant(healed, ghost, engine=MetricsEngine(exact_limit=15))
     assert not result.holds
 
 
 def test_spectral_invariant_identical_graphs():
     graph, ghost = identical_setup(n=14)
-    result = check_spectral_invariant(graph, ghost, kappa=4)
+    result = check_spectral_invariant(graph, ghost, kappa=4, engine=MetricsEngine())
     assert result.holds
     assert result.healed_lambda > 0
 
@@ -92,12 +94,13 @@ def test_spectral_invariant_tiny_graphs_trivially_hold():
     ghost = GhostGraph(nx.path_graph(2))
     healed = nx.Graph()
     healed.add_node(0)
-    assert check_spectral_invariant(healed, ghost, kappa=4).holds
+    assert check_spectral_invariant(healed, ghost, kappa=4, engine=MetricsEngine()).holds
 
 
 def test_theorem2_verdict_all_hold():
     graph, ghost = identical_setup(n=14)
-    verdict = check_theorem2(graph, ghost, kappa=4, exact_limit=14, sample_pairs=None)
+    engine = MetricsEngine(exact_limit=14, stretch_sample_pairs=None)
+    verdict = engine.check_theorem2(graph, ghost, kappa=4)
     assert verdict.all_hold
     assert verdict.connected
 
@@ -106,6 +109,7 @@ def test_theorem2_verdict_fails_when_disconnected():
     graph, ghost = identical_setup(n=14)
     healed = graph.copy()
     healed.add_node(999)  # isolated node disconnects the healed graph
-    verdict = check_theorem2(healed, ghost, kappa=4, exact_limit=14, sample_pairs=None)
+    engine = MetricsEngine(exact_limit=14, stretch_sample_pairs=None)
+    verdict = engine.check_theorem2(healed, ghost, kappa=4)
     assert not verdict.connected
     assert not verdict.all_hold

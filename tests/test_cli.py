@@ -101,6 +101,29 @@ def test_run_malformed_spec_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timesteps", "abc"),
+        ("timesteps", 2.5),
+        ("metric_every", "x"),
+        ("stretch_sample_pairs", "all"),
+        ("kappa", "4"),
+        ("topology_kwargs", [1, 2]),
+        ("healer_kwargs", "x"),
+    ],
+)
+def test_run_mistyped_run_parameter_exits_two_naming_the_field(tmp_path, capsys, field, value):
+    document = BASE.to_dict()
+    document[field] = value
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert repr(value) in err
+
+
 def test_sweep_unknown_axis_names_the_sweepable_fields(tmp_path, capsys):
     path = tmp_path / "sweep.json"
     document = SWEEP.to_dict()

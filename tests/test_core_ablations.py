@@ -17,8 +17,7 @@ def run_under_deletions(healer, n=24, steps=14, seed=5):
     ghost = GhostGraph(graph)
     adversary = DeletionOnlyAdversary(seed=seed + 1)
     adversary.bind(graph)
-    drive(healer, ghost, adversary, steps=steps)
-    return healer, ghost
+    return healer, drive(healer, ghost, adversary, steps=steps)
 
 
 def test_always_merge_never_creates_secondary_clouds():
@@ -29,15 +28,16 @@ def test_always_merge_never_creates_secondary_clouds():
 
 
 def test_always_merge_costs_more_messages_than_xheal():
-    merged, _ = run_under_deletions(XhealAlwaysMerge(kappa=4, seed=1), steps=16)
-    normal, _ = run_under_deletions(Xheal(kappa=4, seed=1), steps=16)
-    merged_msgs = sum(
-        event.payload.get("size", 0) for event in merged.event_log.events()
+    _, merged = run_under_deletions(XhealAlwaysMerge(kappa=4, seed=1), steps=16)
+    _, normal = run_under_deletions(Xheal(kappa=4, seed=1), steps=16)
+    # The same deletions, healed two ways: merging rebuilds whole clouds
+    # where Xheal builds a small secondary cloud, so it costs strictly more
+    # messages and strictly more edge churn.
+    assert [r.deleted_node for r in merged] == [r.deleted_node for r in normal]
+    assert sum(r.messages for r in merged) > sum(r.messages for r in normal)
+    assert sum(r.total_edge_changes for r in merged) > sum(
+        r.total_edge_changes for r in normal
     )
-    # Compare edge churn as the cost proxy: merging rebuilds whole clouds.
-    merged_churn = merged.event_log.count()
-    normal_churn = normal.event_log.count()
-    assert merged_churn >= normal_churn or merged_msgs >= 0
 
 
 def test_clique_clouds_keep_connectivity_but_blow_up_degree():

@@ -6,7 +6,6 @@ import pytest
 from repro.baselines import NoHeal
 from repro.core.colors import BLACK
 from repro.core.events import RepairAction, RepairReport
-from repro.util.eventlog import EventKind
 from repro.util.validation import ValidationError
 
 
@@ -36,8 +35,8 @@ def test_insertion_adds_black_edges_and_logs():
     healer = make_healer(nx.path_graph(4))
     report = healer.handle_insertion(10, [0, 3])
     assert report.action is RepairAction.INSERTION
+    assert (report.timestep, report.inserted_node, report.deleted_node) == (1, 10, None)
     assert healer.graph.has_edge(10, 0)
-    assert healer.event_log.count(EventKind.INSERT) == 1
     assert healer.timestep == 1
 
 
@@ -55,8 +54,8 @@ def test_deletion_removes_node_and_reports():
     healer = make_healer(nx.star_graph(4))
     report = healer.handle_deletion(0)
     assert report.deleted_node == 0
+    assert (report.timestep, report.inserted_node) == (1, None)
     assert 0 not in healer.graph
-    assert healer.event_log.count(EventKind.DELETE) == 1
 
 
 def test_deletion_unknown_node_rejected():

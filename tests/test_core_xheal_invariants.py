@@ -10,9 +10,9 @@ from repro.adversary import (
     RandomAdversary,
     StarCenterAdversary,
 )
-from repro.analysis.invariants import check_theorem2
 from repro.core.ghost import GhostGraph
 from repro.core.xheal import Xheal
+from repro.perf.engine import MetricsEngine
 
 from tests.conftest import drive
 
@@ -36,7 +36,8 @@ def test_theorem2_holds_on_regular_graph(adversary_factory):
     adversary.bind(graph)
     drive(healer, ghost, adversary, steps=25)
     healer.check_invariants()
-    verdict = check_theorem2(healer.graph, ghost, kappa=4, exact_limit=14, sample_pairs=80)
+    engine = MetricsEngine(exact_limit=14, stretch_sample_pairs=80)
+    verdict = engine.check_theorem2(healer.graph, ghost, kappa=4)
     assert verdict.connected
     assert verdict.degree.holds, f"degree violation at {verdict.degree.worst_node}"
     assert verdict.stretch.holds
@@ -66,7 +67,8 @@ def test_star_center_deletion_keeps_constant_expansion():
     ghost = GhostGraph(graph)
     ghost.record_deletion(0)
     healer.handle_deletion(0)
-    verdict = check_theorem2(healer.graph, ghost, kappa=4, exact_limit=0, sample_pairs=100)
+    engine = MetricsEngine(exact_limit=0, stretch_sample_pairs=100)
+    verdict = engine.check_theorem2(healer.graph, ghost, kappa=4)
     assert verdict.connected
     assert verdict.expansion.healed_expansion >= 0.9
 

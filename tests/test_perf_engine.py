@@ -11,8 +11,14 @@ from repro.core.ghost import GhostGraph
 from repro.core.xheal import Xheal
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.perf.engine import MetricsCache, MetricsEngine
-from repro.analysis.invariants import check_theorem2
-from repro.spectral.metrics import snapshot_metrics
+from repro.spectral import (
+    algebraic_connectivity,
+    cheeger_constant,
+    edge_expansion,
+    normalized_laplacian_second_eigenvalue,
+    stretch_against_ghost,
+)
+from repro.spectral.metrics import GraphMetrics
 
 
 # ---------------------------------------------------------------- version counters
@@ -89,11 +95,24 @@ def test_metrics_cache_hit_and_invalidation():
 
 
 def test_engine_snapshot_matches_plain_snapshot(small_regular_graph):
+    # A versioned snapshot is exactly the plain kernels at the engine's fidelity.
+    graph = small_regular_graph
     engine = MetricsEngine(exact_limit=16, stretch_sample_pairs=50, seed=0)
     ghost = nx.random_regular_graph(4, 16, seed=8)
-    by_engine = engine.snapshot(small_regular_graph, ghost=ghost, version=1, ghost_version=1)
-    plain = snapshot_metrics(
-        small_regular_graph, ghost=ghost, exact_limit=16, stretch_sample_pairs=50, seed=0
+    by_engine = engine.snapshot(graph, ghost=ghost, version=1, ghost_version=1)
+    stretch = stretch_against_ghost(graph, ghost, sample_pairs=50, seed=0)
+    plain = GraphMetrics(
+        nodes=graph.number_of_nodes(),
+        edges=graph.number_of_edges(),
+        connected=nx.is_connected(graph),
+        max_degree=max(degree for _, degree in graph.degree()),
+        min_degree=min(degree for _, degree in graph.degree()),
+        edge_expansion=edge_expansion(graph, exact_limit=16, seed=0),
+        cheeger_constant=cheeger_constant(graph, exact_limit=16, seed=0),
+        algebraic_connectivity=algebraic_connectivity(graph),
+        normalized_lambda2=normalized_laplacian_second_eigenvalue(graph),
+        max_stretch=stretch.max_stretch,
+        average_stretch=stretch.average_stretch,
     )
     assert by_engine == plain
 
@@ -147,17 +166,25 @@ def test_engine_invariant_check_reuses_snapshot_values(small_regular_graph):
 
 
 def test_engine_verdict_matches_plain_verdict(small_regular_graph):
+    # A verdict served from a snapshot's cached values equals one a fresh,
+    # unversioned engine measures from scratch.
     healer = Xheal(kappa=4, seed=3)
     healer.initialize(small_regular_graph)
     ghost = GhostGraph(small_regular_graph)
     healer.handle_deletion(5)
     ghost.record_deletion(5)
     engine = MetricsEngine(exact_limit=16, stretch_sample_pairs=50, seed=0)
+    engine.snapshot(
+        healer.graph,
+        ghost=ghost.alive_subgraph(),
+        version=healer.graph_version,
+        ghost_version=ghost.version,
+    )
     fast = engine.check_theorem2(
         healer.graph, ghost, kappa=4, healed_version=healer.graph_version
     )
-    plain = check_theorem2(
-        healer.graph, ghost, kappa=4, exact_limit=16, sample_pairs=50, seed=0
+    plain = MetricsEngine(exact_limit=16, stretch_sample_pairs=50, seed=0).check_theorem2(
+        healer.graph, ghost, kappa=4
     )
     assert fast == plain
 

@@ -33,7 +33,6 @@ from repro.spectral.laplacian import (
     normalized_lambda2_reference,
     normalized_laplacian_second_eigenvalue,
 )
-from repro.spectral.metrics import snapshot_metrics
 from repro.spectral.stretch import (
     stretch_against_ghost,
     stretch_against_ghost_reference,
@@ -195,7 +194,7 @@ def test_snapshot_metrics_unchanged_by_fast_kernels():
     # End-to-end: a full snapshot built on the fast kernels matches one whose
     # expansion/conductance are recomputed by the brute-force references.
     graph = nx.random_regular_graph(4, 12, seed=11)
-    snapshot = snapshot_metrics(graph)
+    snapshot = MetricsEngine().snapshot(graph)
     assert snapshot.edge_expansion == exact_minimum_cut_reference(graph).value
     assert snapshot.cheeger_constant == exact_cheeger_reference(graph).value
     assert snapshot.algebraic_connectivity == pytest.approx(

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.harness.workloads import two_cliques_workload
-from repro.spectral.metrics import compare_metrics, snapshot_metrics
+from repro.perf.engine import MetricsEngine
+from repro.spectral.metrics import compare_metrics
 from repro.spectral.mixing import (
     lazy_walk_matrix,
     mixing_time_bound_from_lambda,
@@ -56,7 +57,7 @@ def test_mixing_bound_from_lambda_monotone():
 
 def test_snapshot_metrics_fields():
     graph = nx.random_regular_graph(4, 14, seed=3)
-    metrics = snapshot_metrics(graph)
+    metrics = MetricsEngine().snapshot(graph)
     assert metrics.nodes == 14
     assert metrics.connected is True
     assert metrics.max_degree == 4
@@ -67,22 +68,22 @@ def test_snapshot_metrics_fields():
 
 def test_snapshot_metrics_with_ghost_includes_stretch():
     graph = nx.random_regular_graph(4, 14, seed=3)
-    metrics = snapshot_metrics(graph, ghost=graph)
+    metrics = MetricsEngine().snapshot(graph, ghost=graph)
     assert metrics.max_stretch == pytest.approx(1.0)
 
 
 def test_snapshot_metrics_tiny_graph():
     graph = nx.Graph()
     graph.add_node(0)
-    metrics = snapshot_metrics(graph)
+    metrics = MetricsEngine().snapshot(graph)
     assert metrics.nodes == 1
     assert metrics.edge_expansion == 0.0
 
 
 def test_compare_metrics_ratios():
     graph = nx.random_regular_graph(4, 14, seed=3)
-    healed = snapshot_metrics(graph)
-    ghost = snapshot_metrics(graph)
+    healed = MetricsEngine().snapshot(graph)
+    ghost = MetricsEngine().snapshot(graph)
     ratios = compare_metrics(healed, ghost)
     assert ratios["degree_ratio"] == pytest.approx(1.0)
     assert ratios["expansion_ratio"] == pytest.approx(1.0)
@@ -91,11 +92,11 @@ def test_compare_metrics_ratios():
 
 def test_compare_metrics_zero_denominator():
     graph = nx.random_regular_graph(4, 14, seed=3)
-    healed = snapshot_metrics(graph)
-    empty = snapshot_metrics(nx.Graph([(0, 1)]))
-    ratios = compare_metrics(healed, snapshot_metrics(nx.path_graph(2)))
+    healed = MetricsEngine().snapshot(graph)
+    empty = MetricsEngine().snapshot(nx.Graph([(0, 1)]))
+    ratios = compare_metrics(healed, MetricsEngine().snapshot(nx.path_graph(2)))
     assert ratios["degree_ratio"] > 0
     disconnected = nx.Graph([(0, 1), (2, 3)])
-    ratios = compare_metrics(healed, snapshot_metrics(disconnected))
+    ratios = compare_metrics(healed, MetricsEngine().snapshot(disconnected))
     assert ratios["expansion_ratio"] == float("inf")
     assert empty.nodes == 2

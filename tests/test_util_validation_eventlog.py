@@ -1,8 +1,7 @@
-"""Tests for repro.util.validation and repro.util.eventlog."""
+"""Tests for repro.util.validation."""
 
 import pytest
 
-from repro.util.eventlog import EventKind, EventLog
 from repro.util.validation import (
     ValidationError,
     require,
@@ -42,28 +41,3 @@ def test_require_in():
     with pytest.raises(ValidationError):
         require_in("c", {"a", "b"}, "opt")
 
-
-def test_eventlog_record_and_filter():
-    log = EventLog()
-    log.record(1, EventKind.INSERT, node=5)
-    log.record(2, EventKind.DELETE, node=5)
-    log.record(2, EventKind.CLOUD_CREATED, cloud=1)
-    assert len(log) == 3
-    assert log.count(EventKind.DELETE) == 1
-    assert len(log.events(timestep=2)) == 2
-    assert log.events(kind=EventKind.INSERT)[0].payload["node"] == 5
-
-
-def test_eventlog_clear_and_indexing():
-    log = EventLog()
-    event = log.record(0, EventKind.NOTE, text="hello")
-    assert log[0] is event
-    log.clear()
-    assert len(log) == 0
-
-
-def test_eventlog_iteration_order():
-    log = EventLog()
-    for timestep in range(5):
-        log.record(timestep, EventKind.NOTE)
-    assert [event.timestep for event in log] == list(range(5))
