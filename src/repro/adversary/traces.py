@@ -72,8 +72,11 @@ def write_churn_trace(
 def read_churn_trace(path: str | Path) -> tuple[list[AdversaryEvent], list[int | None]]:
     """Parse a churn trace into ``(events, steps)`` (steps entries may be None).
 
-    Blank lines are ignored so hand-edited traces stay valid; malformed lines
-    raise ``ValueError`` naming the offending line number.
+    Blank lines are ignored so hand-edited traces stay valid.  Every other
+    line must be an event object (see
+    :func:`~repro.scenarios.runner.event_from_dict`) with an optional
+    integer ``step``; a malformed line raises ``ValueError`` naming the path,
+    the line number and the field.
     """
     events: list[AdversaryEvent] = []
     steps: list[int | None] = []
@@ -84,11 +87,15 @@ def read_churn_trace(path: str | Path) -> tuple[list[AdversaryEvent], list[int |
         try:
             data = json.loads(line)
             event = event_from_dict(data)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            step = data.get("step")
+            require(
+                step is None or (isinstance(step, int) and not isinstance(step, bool)),
+                f"step must be an integer, got {step!r}",
+            )
+        except ValueError as exc:  # JSONDecodeError and ValidationError included
             raise ValueError(f"{path}:{lineno}: malformed churn-trace line: {exc}") from exc
         events.append(event)
-        step = data.get("step")
-        steps.append(int(step) if step is not None else None)
+        steps.append(step)
     return events, steps
 
 

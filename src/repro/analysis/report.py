@@ -89,8 +89,8 @@ def scan_artifact_paths(directory: str | Path, allow_empty: bool = False) -> lis
 
     When the directory carries a ``MANIFEST.json`` (a finalized streamed
     sweep), its entry order — the sweep's submission order — wins; otherwise
-    every ``*.jsonl`` / ``*.jsonl.gz`` except the stream index (legacy or
-    any ``index-<worker>.jsonl`` shard of it) and the failure/round ledgers
+    every ``*.jsonl`` / ``*.jsonl.gz`` except the stream index (``index.jsonl``
+    or an older ``index-<worker>.jsonl`` shard of it) and the failure/round ledgers
     is taken in sorted-name order.  ``allow_empty=True`` permits a
     directory with no artifacts at all (a degraded sweep whose every point
     was quarantined still deserves a report of its failures).
@@ -711,10 +711,10 @@ class ReportWatcher:
     """Incrementally tail a live stream directory, rebuilding the report.
 
     Each refresh reads only the index bytes appended since the last one —
-    across the legacy ``index.jsonl`` *and* every ``index-<worker>.jsonl``
-    shard, discovering shard files that appear mid-run (a fleet worker's
-    first completion) as it goes; torn tails are carried per file to the
-    next refresh, exactly like the resume scan.  Every new entry's artifact
+    across ``index.jsonl`` *and* every ``index-<worker>.jsonl`` shard an
+    older fleet run wrote, discovering index files that appear mid-run as
+    it goes; torn tails are carried per file to the next refresh, exactly
+    like the resume scan.  Every new entry's artifact
     is verified with the same
     hash/fingerprint machinery resume uses
     (:meth:`~repro.scenarios.stream.SweepStream.completed`'s per-entry
@@ -749,8 +749,8 @@ class ReportWatcher:
 
         Files are visited in the deterministic merge order
         (:func:`~repro.scenarios.stream.index_paths`), each with its own byte
-        offset, so a directory written by many shard writers tails exactly
-        like a single-writer one.
+        offset, so a directory with older shard files tails exactly like one
+        with a single index.
         """
         entries: list[dict] = []
         for index_path in index_paths(self.directory):

@@ -19,12 +19,14 @@ Three ship built in:
 * ``process-pool`` — a local :class:`concurrent.futures
   .ProcessPoolExecutor` (:func:`~repro.scenarios.runner._run_pooled`).
 * ``subprocess-fleet`` (:mod:`repro.scenarios.fleet`) — a coordinator
-  leasing long-lived worker subprocesses over a JSONL pipe protocol; each
-  worker writes its own ``index-<worker>.jsonl`` shard.
+  leasing long-lived worker subprocesses over a JSONL pipe protocol.
 
 The pool and the fleet are transports over one
 :class:`~repro.scenarios.policy.PointScheduler`, which owns retries,
-backoff, deadlines and quarantine for both.
+backoff, deadlines and quarantine for both.  Every backend hands each
+finished point to ``on_complete`` in the coordinating process, so the
+coordinator is the only writer of a streamed sweep directory: its
+artifacts, its one ``index.jsonl`` and its manifest.
 
 Every backend produces byte-identical artifacts for the same spec list —
 execution placement is operational, never part of a point's identity — so
@@ -38,7 +40,7 @@ group (see :mod:`repro.scenarios.registry`) and are selected by name via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.scenarios.policy import PointPolicy
@@ -57,10 +59,9 @@ class ExecutionContext:
     :class:`~repro.scenarios.chaos.PointFault` to convert a delivered result
     into a per-point failure.  ``on_quarantine(index, attempts, error)``
     receives points that exhausted ``policy.max_retries``; when it is
-    ``None`` the backend must re-raise instead (buffered mode).  ``stream``
-    is the run's :class:`~repro.scenarios.stream.SweepStream` when the
-    backend's workers may write artifacts and shard index lines themselves
-    (the fleet does; pool workers return results to the parent instead).
+    ``None`` the backend must re-raise instead (buffered mode).  Both
+    callbacks run in the coordinating process, which in a streamed run is
+    the only writer of the sweep directory: workers never write to it.
     """
 
     spec_list: Sequence
@@ -69,7 +70,6 @@ class ExecutionContext:
     policy: PointPolicy
     on_complete: Callable
     on_quarantine: Callable | None = None
-    stream: object | None = None
 
 
 def resolve_executor(name: str | None, workers: int, points: int):
@@ -106,7 +106,7 @@ class SerialExecutor:
         from repro.scenarios.runner import execute_spec_timed
 
         if ctx.policy.active or active_chaos() is not None:
-            ProcessPoolBackend().execute(replace(ctx, stream=None))
+            ProcessPoolBackend().execute(ctx)
             return
         for index in ctx.indices:
             ctx.on_complete(index, execute_spec_timed(ctx.spec_list[index]), 0)

@@ -5,15 +5,10 @@ A coordinator leases N long-lived worker subprocesses (each running
 each over its stdin/stdout pipe pair::
 
     coordinator -> worker   {"op": "run", "index": 3, "attempt": 0,
-                             "spec": {...},
-                             "stream": {"directory": "...", "compress": false,
-                                        "shard": "w0"}}
+                             "spec": {...}}
     worker -> coordinator   {"op": "ready"}
                             {"op": "done", "index": 3, "attempt": 0,
-                             "entry": {...}}            (streamed runs)
-                            {"op": "done", "index": 3, "attempt": 0,
-                             "record": {...},
-                             "wall_clock_s": 0.12}      (buffered runs)
+                             "record": {...}, "wall_clock_s": 0.12}
                             {"op": "error", "index": 3, "attempt": 0,
                              "error": "ChaosError('...')"}
     coordinator -> worker   {"op": "shutdown"}
@@ -30,16 +25,18 @@ unlike the shared process pool) and respawns the slot; every other
 in-flight point is untouched.  A worker still busy past its lease's
 ``policy.timeout_s`` deadline is killed alone and its point charged a
 timeout attempt; the lease starts when the point is sent to a ready worker,
-so spawn time (bounded by its own ready deadline) never counts.
+so spawn time (bounded by its own ready deadline) never counts.  A worker
+that dies, is killed or is shut down has both pipes closed and is reaped.
 
-In streamed runs each worker is an *independent writer*: it appends finished
-artifacts with the full durability protocol and logs them to its own
-``index-<shard>.jsonl`` shard (see :mod:`repro.scenarios.stream`), then
-reports the index entry back for the coordinator to adopt into the manifest.
-Worker-side faults keep exact parity with the pool backend's parent-side
-handling — same error ``repr`` strings, same torn-write artifact bytes, same
-attempt accounting — so serial, pool and fleet runs of one sweep are
-byte-identical after :func:`~repro.scenarios.stream.strip_costs`.
+Workers hold no stream state: each runs the pool's work unit
+:func:`~repro.scenarios.runner.execute_point` and replies with the
+``(record, wall_clock_s)`` pair, which the coordinator hands to
+``ctx.on_complete`` exactly as the pool does.  So the coordinator is the
+only writer of a streamed sweep directory on every backend, and worker-side
+faults keep exact parity with the pool's — same error ``repr`` strings, same
+parent-side torn writes, same attempt accounting — so serial, pool and
+fleet runs of one sweep are byte-identical after
+:func:`~repro.scenarios.stream.strip_costs`.
 """
 
 from __future__ import annotations
@@ -113,7 +110,6 @@ class _Worker:
 
     def __init__(self, slot: int):
         self.slot = slot
-        self.shard = f"w{slot}"
         self.state = DEAD
         self.process: subprocess.Popen | None = None
         self.lease = None  # the scheduler's Lease this worker is running
@@ -122,13 +118,37 @@ class _Worker:
 
 
 def _pump(slot: int, process: subprocess.Popen, events: Queue) -> None:
-    """Reader thread: forward one worker's stdout lines, then its EOF."""
-    try:
-        for line in process.stdout:
-            events.put((slot, process, "line", line))
-    except Exception:  # pragma: no cover - pipe torn down mid-read
-        pass
+    """Reader thread: forward one worker's stdout lines, then its EOF.
+
+    The thread is the pipe's only reader, so it closes the pipe after EOF.
+    """
+    with process.stdout:
+        try:
+            for line in process.stdout:
+                events.put((slot, process, "line", line))
+        except Exception:  # pragma: no cover - pipe torn down mid-read
+            pass
     events.put((slot, process, "eof", None))
+
+
+def _reap(process: subprocess.Popen, kill: bool = False) -> None:
+    """Close a worker's stdin and wait for it to exit, killing it first if asked.
+
+    A closed stdin ends the worker's serve loop, so a worker still running
+    after the grace period is killed.  Idempotent: a reaped worker returns at
+    once.  Its stdout is closed by its reader thread (:func:`_pump`).
+    """
+    if kill:
+        process.kill()
+    try:
+        process.stdin.close()
+    except OSError:  # the flush hit a pipe the worker already closed
+        pass
+    try:
+        process.wait(timeout=5)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
 
 
 @register_executor("subprocess-fleet", aliases=("fleet",))
@@ -141,17 +161,9 @@ class SubprocessFleetExecutor:
         from repro.scenarios.runner import RunRecord
 
         spec_list = ctx.spec_list
-
-        def deliver(index: int, message: dict, attempt: int) -> None:
-            if ctx.stream is not None and message.get("entry") is not None:
-                # The worker already wrote the artifact and its shard index
-                # line durably; the coordinator only adopts the entry.
-                ctx.stream.adopt(message["entry"])
-            else:
-                record = RunRecord.from_dict(message["record"])
-                ctx.on_complete(index, (record, message["wall_clock_s"]), attempt)
-
-        scheduler = PointScheduler(spec_list, ctx.indices, ctx.policy, deliver, ctx.on_quarantine)
+        scheduler = PointScheduler(
+            spec_list, ctx.indices, ctx.policy, ctx.on_complete, ctx.on_quarantine
+        )
         if scheduler.done:
             return
         events: Queue = Queue()
@@ -186,17 +198,8 @@ class SubprocessFleetExecutor:
         def kill(worker: _Worker) -> None:
             worker.state = DEAD
             worker.lease = None
-            process = worker.process
-            if process is None:
-                return
-            try:
-                process.kill()
-            except Exception:  # pragma: no cover - already dead
-                pass
-            try:
-                process.wait(timeout=5)
-            except Exception:  # pragma: no cover - defensive
-                pass
+            if worker.process is not None:
+                _reap(worker.process, kill=True)
 
         def respawn(worker: _Worker) -> None:
             if not scheduler.done:
@@ -210,12 +213,6 @@ class SubprocessFleetExecutor:
                 "attempt": lease.attempt,
                 "spec": spec_list[lease.index].to_dict(),
             }
-            if ctx.stream is not None:
-                task["stream"] = {
-                    "directory": str(ctx.stream.directory),
-                    "compress": bool(ctx.stream.compress),
-                    "shard": worker.shard,
-                }
             worker.lease = lease
             worker.state = BUSY
             try:
@@ -227,10 +224,11 @@ class SubprocessFleetExecutor:
                 pass
 
         def on_death(worker: _Worker) -> None:
-            """EOF from a worker: charge its leased point, recycle the slot."""
+            """EOF from a worker: reap it, charge its leased point, recycle the slot."""
             was, lease = worker.state, worker.lease
             worker.state = DEAD
             worker.lease = None
+            _reap(worker.process)
             if was == LEASED:
                 worker.spawn_failures += 1
                 require(
@@ -276,7 +274,8 @@ class SubprocessFleetExecutor:
             if op == "error":
                 scheduler.fail(lease, RemoteWorkerError(str(message.get("error"))))
             else:
-                scheduler.finish(lease, message)
+                record = RunRecord.from_dict(message["record"])
+                scheduler.finish(lease, (record, message["wall_clock_s"]))
 
         fleet = {
             slot: _Worker(slot) for slot in range(max(1, min(ctx.workers, len(ctx.indices))))
@@ -348,7 +347,7 @@ class SubprocessFleetExecutor:
 
     @staticmethod
     def _shutdown(fleet: dict) -> None:
-        """Ask every live worker to exit; escalate to kill after a grace period."""
+        """Ask every live worker to exit, then reap each; kill one that lingers."""
         for worker in fleet.values():
             process = worker.process
             if process is None or process.poll() is not None:
@@ -356,96 +355,56 @@ class SubprocessFleetExecutor:
             try:
                 process.stdin.write('{"op": "shutdown"}\n')
                 process.stdin.flush()
-                process.stdin.close()
-            except Exception:
+            except OSError:  # it died since the poll; reaping covers it
                 pass
-        deadline = time.monotonic() + 5.0
         for worker in fleet.values():
-            process = worker.process
-            if process is None:
-                continue
-            try:
-                process.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except Exception:
-                try:
-                    process.kill()
-                    process.wait(timeout=5)
-                except Exception:  # pragma: no cover - defensive
-                    pass
+            if worker.process is not None:
+                _reap(worker.process)
 
 
 # -- worker side ---------------------------------------------------------------
 
 
-def _execute_task(task: dict, streams: dict) -> dict:
-    """Run one leased point; return the reply message.
+def _execute_task(task: dict) -> dict:
+    """Run one leased point through the pool's work unit; return the reply.
 
-    Fault parity with the pool backend is deliberate, branch by branch: the
-    chaos shim runs first (``crash`` exits the process — the coordinator
-    sees EOF, exactly like ``BrokenProcessPool``; ``hang`` sleeps into the
-    lease's timeout; ``raise`` lands in the generic exception reply), and
-    a scheduled ``torn-write`` writes the same truncated artifact bytes the
-    parent-side path writes, with no index line, before failing the attempt
-    with the same :class:`~repro.scenarios.chaos.PointFault` message.
+    :func:`~repro.scenarios.runner.execute_point` runs the chaos shim first,
+    so faults keep parity with the pool branch by branch: ``crash`` exits the
+    process (the coordinator sees EOF, exactly like ``BrokenProcessPool``),
+    ``hang`` sleeps into the lease's timeout, and ``raise`` lands in the
+    error reply carrying the exception's ``repr``.
     """
-    from repro.scenarios.chaos import (
-        PointFault,
-        active_chaos,
-        apply_worker_chaos,
-        chaos_decision,
-        tear_artifact,
-    )
-    from repro.scenarios.runner import execute_spec_timed
+    from repro.scenarios.runner import execute_point
     from repro.scenarios.spec import ScenarioSpec
-    from repro.scenarios.stream import SweepStream
 
     index, attempt = task["index"], task["attempt"]
-    reply = {"op": "done", "index": index, "attempt": attempt}
     try:
-        spec = ScenarioSpec.from_dict(task["spec"])
-        fingerprint = spec.fingerprint()
-        apply_worker_chaos(fingerprint, attempt)
-        record, wall_clock_s = execute_spec_timed(spec)
-        stream_info = task.get("stream")
-        if stream_info is None:
-            reply.update(record=record.to_dict(), wall_clock_s=wall_clock_s)
-            return reply
-        key = (stream_info["directory"], stream_info["shard"])
-        stream = streams.get(key)
-        if stream is None:
-            stream = SweepStream(
-                stream_info["directory"],
-                compress=stream_info["compress"],
-                shard=stream_info["shard"],
-            )
-            streams[key] = stream
-        chaos = active_chaos()
-        if chaos is not None and chaos_decision(chaos, fingerprint, attempt) == "torn-write":
-            tear_artifact(stream, index, record)
-            raise PointFault(f"injected torn write for point {index} attempt {attempt}")
-        stream.record(index, record, wall_clock_s=wall_clock_s)
-        reply["entry"] = stream._recorded[fingerprint]
-        return reply
+        record, wall_clock_s = execute_point(ScenarioSpec.from_dict(task["spec"]), attempt)
     except KeyboardInterrupt:
         raise
     except BaseException as error:
         return {"op": "error", "index": index, "attempt": attempt, "error": repr(error)}
+    return {
+        "op": "done",
+        "index": index,
+        "attempt": attempt,
+        "record": record.to_dict(),
+        "wall_clock_s": wall_clock_s,
+    }
 
 
 def worker_main() -> int:
     """The worker process: serve leased tasks over stdin/stdout until shutdown."""
     # The JSONL protocol owns fd 1.  Re-point sys.stdout at stderr so stray
     # prints from scenario code cannot corrupt the protocol stream.
-    protocol = os.fdopen(os.dup(sys.stdout.fileno()), "w", buffering=1)
-    sys.stdout = sys.stderr
+    with os.fdopen(os.dup(sys.stdout.fileno()), "w", buffering=1) as protocol:
+        sys.stdout = sys.stderr
 
-    def reply(message: dict) -> None:
-        protocol.write(json.dumps(message, sort_keys=True) + "\n")
-        protocol.flush()
+        def reply(message: dict) -> None:
+            protocol.write(json.dumps(message, sort_keys=True) + "\n")
+            protocol.flush()
 
-    streams: dict = {}
-    reply({"op": "ready"})
-    try:
+        reply({"op": "ready"})
         for line in sys.stdin:
             if not line.strip():
                 continue
@@ -465,8 +424,5 @@ def worker_main() -> int:
             if op != "run":
                 reply({"op": "error", "error": f"RuntimeError('unknown op: {op!r}')"})
                 continue
-            reply(_execute_task(task, streams))
-    finally:
-        for stream in streams.values():
-            stream.close()
+            reply(_execute_task(task))
     return 0

@@ -56,13 +56,35 @@ def event_to_dict(event: AdversaryEvent) -> dict:
     }
 
 
+def _is_integer(value) -> bool:
+    """Return whether ``value`` is an ``int`` other than a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def event_from_dict(data: dict) -> AdversaryEvent:
-    """Rebuild an adversarial event from :func:`event_to_dict` output."""
-    return AdversaryEvent(
-        type=EventType(data["type"]),
-        node=data["node"],
-        neighbors=tuple(data.get("neighbors", ())),
+    """Rebuild an adversarial event from :func:`event_to_dict` output.
+
+    Churn-trace files and artifact event lines both arrive here from outside
+    the program, so every field is checked: ``data`` must be a JSON object
+    whose ``type`` is ``insert`` or ``delete``, whose ``node`` is an integer
+    and whose ``neighbors`` (empty when absent) is a list of integers.
+    Anything else raises :class:`~repro.util.validation.ValidationError`
+    naming the field.
+    """
+    require(isinstance(data, dict), f"an event must be a JSON object, got {data!r}")
+    kind = data.get("type")
+    require(
+        kind in ("insert", "delete"),
+        f"type must be 'insert' or 'delete', got {kind!r}",
     )
+    node = data.get("node")
+    require(_is_integer(node), f"node must be an integer, got {node!r}")
+    neighbors = data.get("neighbors", [])
+    require(
+        isinstance(neighbors, list) and all(_is_integer(n) for n in neighbors),
+        f"neighbors must be a list of integers, got {neighbors!r}",
+    )
+    return AdversaryEvent(type=EventType(kind), node=node, neighbors=tuple(neighbors))
 
 
 def timeline_rows(result: ExperimentResult) -> list[dict]:
@@ -158,7 +180,7 @@ def execute_spec_timed(spec: ScenarioSpec) -> tuple[RunRecord, float]:
 
 
 def execute_point(spec: ScenarioSpec, attempt: int = 0) -> tuple[RunRecord, float]:
-    """The pooled work unit: chaos shim, then the timed scenario.
+    """The work unit pool and fleet workers run: chaos shim, then the timed scenario.
 
     ``attempt`` numbers retries of one point (0 = first try); it feeds only
     the fault-injection schedule, never the scenario itself, so every
@@ -493,7 +515,6 @@ def _run_streamed(
                 policy=policy,
                 on_complete=record_point,
                 on_quarantine=quarantine,
-                stream=stream,
             )
         )
         manifest = stream.finalize(spec_list, verified=completed, failed=failed_prior)

@@ -5,9 +5,6 @@ A streamed sweep writes one directory::
     <dir>/0003-<slug>.jsonl       one JSONL artifact per completed point
     <dir>/0003-<slug>.jsonl.gz    (the same, gzip-encoded, with compress=True)
     <dir>/index.jsonl             append-only completion log (one line per point)
-    <dir>/index-<worker>.jsonl    per-worker shard of the completion log, when
-                                  an executor backend's workers write their own
-                                  index lines (the subprocess fleet)
     <dir>/failures.jsonl          append-only quarantine ledger (points that
                                   exhausted their retry budget; often absent)
     <dir>/rounds.jsonl            append-only adaptive-round ledger (decision
@@ -35,15 +32,16 @@ finished sweep is the artifact files plus ``MANIFEST.json`` *modulo the cost
 columns* — ``wall_clock_s`` / ``step_cost_s`` are observed timings, so
 :func:`strip_costs` removes them before any identity comparison.
 
-A single-writer stream appends to ``index.jsonl``; a multi-writer run gives
-each worker its own ``index-<worker>.jsonl`` shard (same line format, same
-per-line fsync) so no two processes ever contend on one file.  Every reader
-— resume, ``repro report``, ``--watch``, manifest finalization — goes
-through the deterministic merge :func:`iter_all_index_entries`: the legacy
-``index.jsonl`` first, then the shards in sorted filename order, lines in
-file order, *last write wins* per fingerprint.  A directory with only the
-legacy index therefore reads exactly as before, and mixed directories (a
-pool-streamed run resumed by a fleet, or vice versa) merge unambiguously.
+The coordinating process is the only writer, on every executor backend:
+workers return ``(record, wall_clock_s)`` pairs and the coordinator appends
+each artifact, each ``index.jsonl`` line and the manifest.  Directories
+written before that rule may also hold per-worker ``index-<worker>.jsonl``
+shards (same line format), so every reader — resume, ``repro report``,
+``--watch``, manifest finalization — goes through the deterministic merge
+:func:`iter_all_index_entries`: ``index.jsonl`` first, then any shards in
+sorted filename order, lines in file order, *last write wins* per
+fingerprint.  Such a directory resumes and reports exactly like one with a
+single index.
 
 Resumption keys on :meth:`~repro.scenarios.spec.ScenarioSpec.fingerprint`
 (canonical-JSON SHA-256): a point is skipped iff its fingerprint appears in
@@ -61,7 +59,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import time
 import zlib
 from dataclasses import dataclass
@@ -76,36 +73,21 @@ from repro.util.validation import require
 INDEX_NAME = "index.jsonl"
 MANIFEST_NAME = "MANIFEST.json"
 
-#: Shard index filenames (``index-<worker>.jsonl``): one per independent
-#: writer.  Shard names are restricted so sorted-filename merge order is
-#: well defined and a shard can never collide with an artifact name.
-_SHARD_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*\Z")
-
-
-def shard_index_name(shard: str) -> str:
-    """Return the index filename a worker shard writes to."""
-    require(
-        bool(_SHARD_NAME.match(shard)),
-        f"shard name {shard!r} must be alphanumeric (plus '._-'), "
-        f"starting with an alphanumeric",
-    )
-    return f"index-{shard}.jsonl"
-
 
 def is_index_name(name: str) -> bool:
-    """Return whether ``name`` is the legacy index or a worker shard of it."""
+    """Return whether ``name`` is ``index.jsonl`` or an older worker shard of it."""
     return name == INDEX_NAME or (
         name.startswith("index-") and name.endswith(".jsonl")
     )
 
 
 def shard_index_paths(directory: Path) -> list[Path]:
-    """Return the directory's shard index files in merge (sorted-name) order."""
+    """Return the directory's ``index-*.jsonl`` shards in merge (sorted-name) order."""
     return sorted(Path(directory).glob("index-*.jsonl"))
 
 
 def index_paths(directory: Path) -> list[Path]:
-    """Return every index file present, legacy first, then shards in order.
+    """Return every index file present, ``index.jsonl`` first, then shards in order.
 
     This list *is* the merge order: readers that fold entries into a dict
     keyed by fingerprint get last-write-wins determinism for free.
@@ -121,9 +103,10 @@ def index_paths(directory: Path) -> list[Path]:
 def iter_all_index_entries(directory: Path):
     """Yield every index entry of a directory in deterministic merge order.
 
-    Legacy ``index.jsonl`` entries first, then each ``index-<worker>.jsonl``
-    shard in sorted filename order, lines in file order — so consumers that
-    keep the last entry per fingerprint agree across processes and runs.
+    ``index.jsonl`` entries first, then each ``index-<worker>.jsonl`` shard
+    an older fleet run left, in sorted filename order, lines in file order —
+    so consumers that keep the last entry per fingerprint agree across
+    processes and runs.
     Torn tails and unparseable lines are skipped per file, exactly like
     :func:`iter_index_entries`.
     """
@@ -240,10 +223,10 @@ def iter_index_entries(index_path: Path):
 def detect_compression(directory: Path) -> bool | None:
     """Return the compression a directory's recorded artifacts use, if any.
 
-    The index (legacy or any worker shard) is authoritative (its artifact
-    names reflect what the writer produced); a directory with artifacts but
-    no index falls back to the filenames on disk.  ``None`` means no
-    evidence either way (fresh or empty directory).
+    The index (``index.jsonl`` or any older worker shard) is authoritative
+    (its artifact names reflect what the writer produced); a directory with
+    artifacts but no index falls back to the filenames on disk.  ``None``
+    means no evidence either way (fresh or empty directory).
     """
     directory = Path(directory)
     for entry in iter_all_index_entries(directory):
@@ -346,23 +329,13 @@ class SweepStream:
     that contradicts the directory's recorded format is an error: mixing
     encodings within one sweep would break byte-identity with a serial run.
 
-    ``shard`` makes this stream an *independent index writer*: its index
-    lines go to ``index-<shard>.jsonl`` instead of the shared
-    ``index.jsonl``, so many worker processes can append concurrently
-    without contending on (or interleaving within) one file.  Reads —
-    :meth:`completed`, compression detection — always cover the legacy
-    index plus every shard, so shard writers and single-writer streams see
-    one coherent directory.
+    Writes go to ``index.jsonl``; reads — :meth:`completed`, compression
+    detection — also merge any ``index-<worker>.jsonl`` shards an older
+    fleet run left in the directory.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        compress: bool | None = None,
-        shard: str | None = None,
-    ):
+    def __init__(self, directory: str | Path, compress: bool | None = None):
         self.directory = Path(directory)
-        self.shard = shard
         self.directory.mkdir(parents=True, exist_ok=True)
         detected = detect_compression(self.directory)
         require(
@@ -386,9 +359,7 @@ class SweepStream:
 
     @property
     def index_path(self) -> Path:
-        """Return the index file *this stream appends to* (legacy or shard)."""
-        if self.shard is not None:
-            return self.directory / shard_index_name(self.shard)
+        """Return the index file this stream appends to."""
         return self.directory / INDEX_NAME
 
     def index_paths(self) -> list[Path]:
@@ -455,21 +426,6 @@ class SweepStream:
         self._recorded[fingerprint] = entry
         return path
 
-    def adopt(self, entry: dict) -> None:
-        """Trust an index entry durably recorded by an *independent* writer.
-
-        Fleet workers write their own artifacts and shard index lines, then
-        report the entry back; the coordinator adopts it so
-        :meth:`finalize` covers the point without rescanning the directory.
-        Only entries whose artifact and index line are already fsync'd on
-        disk may be adopted — adopting is bookkeeping, not persistence.
-        """
-        require(
-            isinstance(entry, dict) and isinstance(entry.get("fingerprint"), str),
-            "an adopted index entry must be a dict carrying its fingerprint",
-        )
-        self._recorded[entry["fingerprint"]] = entry
-
     def record_failure(self, index: int, spec, attempts: int, error: BaseException) -> dict:
         """Durably quarantine one point that exhausted its retries.
 
@@ -521,8 +477,8 @@ class SweepStream:
         artifact's first (spec) line fingerprints to the index entry's
         fingerprint — so deleting or tampering with an artifact (any line of
         it) re-runs exactly that point.  Unparseable index lines (torn tail
-        writes from a crash) are ignored.  The scan merges the legacy index
-        with every worker shard (:func:`iter_all_index_entries`), the last
+        writes from a crash) are ignored.  The scan merges ``index.jsonl``
+        with any older worker shard (:func:`iter_all_index_entries`), the last
         verified entry per fingerprint winning deterministically.
         """
         entries: dict[str, dict] = {}

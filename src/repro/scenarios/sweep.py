@@ -220,7 +220,26 @@ class SweepSpec:
         return self.name or self.base.label
 
     def validate(self) -> "SweepSpec":
-        """Check the base spec, every axis key/value list and the replicate count."""
+        """Check every field's type, the base spec, every axis and the replicate count."""
+        require(
+            isinstance(self.axes, dict),
+            f"axes must be a JSON object of value lists, got {self.axes!r}",
+        )
+        for key, values in self.axes.items():
+            require(
+                isinstance(values, (list, tuple)) and len(values) > 0,
+                f"axis {key!r} must map to a non-empty list of values",
+            )
+        for name in ("name", "executor"):
+            value = getattr(self, name)
+            require(
+                value is None or isinstance(value, str),
+                f"{name} must be a string or null, got {value!r}",
+            )
+        require(
+            isinstance(self.derive_seeds, bool),
+            f"derive_seeds must be true or false, got {self.derive_seeds!r}",
+        )
         self.base.validate()
         require(
             isinstance(self.replicates, int) and not isinstance(self.replicates, bool),
@@ -257,10 +276,6 @@ class SweepSpec:
 
             EXECUTORS.get(self.executor)
         for key, values in self.axes.items():
-            require(
-                isinstance(values, (list, tuple)) and len(values) > 0,
-                f"axis {key!r} must map to a non-empty list of values",
-            )
             # Surface bad keys now rather than at expansion time.
             apply_axis(self.base, key, values[0])
         return self
@@ -346,6 +361,10 @@ class SweepSpec:
         unknown = sorted(set(data) - known)
         require(not unknown, f"unknown SweepSpec fields {unknown}; known fields: {sorted(known)}")
         require("base" in data and "axes" in data, "SweepSpec requires 'base' and 'axes'")
+        require(
+            isinstance(data["base"], dict),
+            f"base must be a JSON object, got {data['base']!r}",
+        )
         policy = data.get("policy")
         adaptive = data.get("adaptive")
         if adaptive is not None:
@@ -354,7 +373,7 @@ class SweepSpec:
             adaptive = AdaptiveSpec.from_dict(adaptive)
         return cls(
             base=ScenarioSpec.from_dict(data["base"]),
-            axes=dict(data["axes"]),
+            axes=data["axes"],
             name=data.get("name"),
             derive_seeds=data.get("derive_seeds", False),
             replicates=data.get("replicates", 1),

@@ -134,6 +134,53 @@ def test_sweep_unknown_axis_names_the_sweepable_fields(tmp_path, capsys):
     assert "timestps" in err and "not a sweepable field" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("axes", [1, 2]),
+        ("executor", 3),
+        ("derive_seeds", "false"),
+        ("name", 5),
+        ("base", 5),
+    ],
+)
+def test_sweep_mistyped_field_exits_two_naming_the_field(tmp_path, capsys, field, value):
+    document = SWEEP.to_dict()
+    document[field] = value
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["sweep", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        '{"type": "delete", "node": 3, "neighbors": 5}',
+        '{"type": "delete", "node": [3], "neighbors": []}',
+        '{"type": "delete", "node": true, "neighbors": []}',
+        '{"type": "delete", "node": 3, "neighbors": [], "step": "x"}',
+    ],
+    ids=["array", "neighbors-int", "node-list", "node-bool", "step-string"],
+)
+def test_run_malformed_churn_trace_line_exits_two_naming_the_line(tmp_path, capsys, line):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(line + "\n")
+    spec = tmp_path / "replay.json"
+    spec.write_text(
+        BASE.with_overrides(
+            adversary="trace-replay", adversary_kwargs={"path": str(trace)}
+        ).to_json()
+    )
+    assert cli_main(["run", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert f"{trace}:1: " in err
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_artifact_dir_with_stream_to(sweep_file, tmp_path, capsys):
     code = cli_main(
         [
@@ -383,4 +430,3 @@ def test_sweep_explicit_executor_runs_to_completion(sweep_file, tmp_path, capsys
     )
     assert code == 0
     assert "executed 2" in capsys.readouterr().out
-    assert list(directory.glob("index-w*.jsonl"))

@@ -13,10 +13,14 @@ in-flight points.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.scenarios import (
     ChaosSpec,
     PointPolicy,
@@ -65,7 +69,7 @@ SWEEP = SweepSpec(base=BASE, axes={"timesteps": [3, 5], "healer_kwargs.kappa": [
 #: The schedule test_chaos.py pins (seed 43 faults every SWEEP point's first
 #: attempt across crash/raise/torn-write, with a clean attempt within 3
 #: retries) — reused here so the fleet faces worker deaths, injected raises
-#: AND torn shard writes in one differential.
+#: AND torn writes in one differential.
 CHAOS = ChaosSpec(crash_prob=0.3, raise_prob=0.25, torn_write_prob=0.25, seed=43)
 
 
@@ -163,20 +167,17 @@ def test_streamed_differential_across_all_backends(tmp_path):
     assert surfaces["serial"] == surfaces["process-pool"] == surfaces["subprocess-fleet"]
 
 
-def test_fleet_writes_per_worker_shard_indices_not_the_legacy_index(tmp_path):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_streamed_run_writes_one_index_listing_every_point_once(tmp_path, backend):
+    """The coordinator is the only writer: one index.jsonl, no worker shards."""
     specs = SWEEP.expand()
-    result = run_scenarios(
-        specs, workers=2, stream_to=tmp_path / "out", executor="subprocess-fleet"
-    )
+    result = run_scenarios(specs, workers=2, stream_to=tmp_path / "out", executor=backend)
     directory = result.directory
-    assert not (directory / "index.jsonl").exists()
-    shards = sorted(path.name for path in directory.glob("index-*.jsonl"))
-    assert shards and set(shards) <= {"index-w0.jsonl", "index-w1.jsonl"}
-    # The shards jointly record every point exactly once.
+    assert [path.name for path in directory.iterdir() if is_index_name(path.name)] == [
+        "index.jsonl"
+    ]
     entries = [
-        json.loads(line)
-        for shard in shards
-        for line in (directory / shard).read_text().splitlines()
+        json.loads(line) for line in (directory / "index.jsonl").read_text().splitlines()
     ]
     assert sorted(entry["index"] for entry in entries) == list(range(len(specs)))
 
@@ -207,7 +208,7 @@ def test_fleet_kill_and_resume_converges_to_serial_bytes(tmp_path, monkeypatch):
     clean = run_scenarios(specs, stream_to=tmp_path / "clean")
     monkeypatch.setenv(ENV_VAR, CHAOS.to_json())
     # "Crash" the coordinator after two points, then resume the full grid
-    # under the same schedule — still on the fleet, over its own shards.
+    # under the same schedule — still on the fleet.
     run_scenarios(
         specs[:2],
         workers=2,
@@ -230,15 +231,13 @@ def test_fleet_kill_and_resume_converges_to_serial_bytes(tmp_path, monkeypatch):
 def test_any_backend_resumes_a_sweep_started_under_any_other(tmp_path):
     specs = SWEEP.expand()
     clean = run_scenarios(specs, stream_to=tmp_path / "clean")
-    # Legacy single-writer start (serial), fleet finish: the resume scan
-    # merges index.jsonl with the fleet's shards into one coherent directory.
+    # Serial start, fleet finish: both append to the one index.jsonl.
     run_scenarios(specs[:2], stream_to=tmp_path / "mixed", executor="serial")
     resumed = run_scenarios(
         specs, workers=2, resume=tmp_path / "mixed", executor="subprocess-fleet"
     )
     assert resumed.executed == len(specs) - 2 and resumed.skipped == 2
     assert (tmp_path / "mixed" / "index.jsonl").exists()
-    assert list((tmp_path / "mixed").glob("index-*.jsonl"))
     assert canonical_files(clean.directory) == canonical_files(resumed.directory)
 
 
@@ -346,6 +345,52 @@ def test_fleet_raises_after_repeated_spawn_failures(monkeypatch):
     )
     with pytest.raises(ValidationError, match="before becoming ready"):
         run_scenarios([BASE], workers=1, executor="subprocess-fleet")
+
+
+#: Fleet sweeps in which workers are shut down (fault-free, streamed then
+#: buffered), die (seed 0 crashes three of the six points once) and are
+#: killed (a hung point overruns its timeout).
+_FLEET_LIFECYCLE = """
+import os, sys
+from pathlib import Path
+from repro.scenarios import ChaosSpec, PointPolicy, SweepSpec, run_scenarios
+from repro.scenarios.chaos import ENV_VAR
+
+four, six = (SweepSpec.from_json(text).expand() for text in sys.argv[1:3])
+out = Path(sys.argv[3])
+fleet = {"workers": 2, "executor": "subprocess-fleet"}
+assert run_scenarios(four, stream_to=out / "streamed", **fleet).executed == 4
+assert len(run_scenarios(four, **fleet)) == 4
+os.environ[ENV_VAR] = ChaosSpec(crash_prob=0.4, seed=0).to_json()
+crashed = run_scenarios(six, stream_to=out / "crashed", policy=PointPolicy(max_retries=3), **fleet)
+assert crashed.executed == 6 and crashed.failed == 0
+os.environ[ENV_VAR] = ChaosSpec(hang_prob=1.0, hang_s=30.0, seed=0).to_json()
+hung = run_scenarios(four[:1], stream_to=out / "hung", policy=PointPolicy(timeout_s=1.0), **fleet)
+assert hung.failed == 1
+"""
+
+
+def test_fleet_workers_leave_no_open_pipe_or_unreaped_process(tmp_path):
+    """No worker outlives its use with an open pipe or an unreaped process.
+
+    ``-X dev`` makes the interpreter warn about every pipe a worker leaves
+    open and every worker process left unreaped when its handle is dropped.
+    """
+    six = SweepSpec(base=BASE, axes={"timesteps": [3, 5, 7]}, replicates=2)
+    env = {key: value for key, value in os.environ.items() if key != ENV_VAR}
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [
+            sys.executable, "-X", "dev", "-W", "always::ResourceWarning",
+            "-c", _FLEET_LIFECYCLE, SWEEP.to_json(), six.to_json(), str(tmp_path),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "ResourceWarning" not in completed.stderr
 
 
 # -- execution context plumbing -----------------------------------------------

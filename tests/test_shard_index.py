@@ -1,12 +1,13 @@
 """Sharded completion indices: naming, deterministic merge, and resume.
 
-A sweep directory may carry its completion log as the legacy single
-``index.jsonl``, as per-worker ``index-<worker>.jsonl`` shards, or both at
-once (a sweep started by one backend and finished by another).  Every
-reader — the resume scan, ``repro report``, the live watcher — must see one
-coherent directory regardless of layout, with a fixed merge order (legacy
-first, then shards by sorted filename, lines in file order) so duplicate
-fingerprints resolve last-write-wins identically everywhere.
+Today every backend writes one ``index.jsonl``, but a fleet used to give
+each worker its own ``index-<worker>.jsonl`` shard, so an older directory
+may carry its completion log as shards, or as both at once (a sweep started
+by one backend and finished by another).  Every reader — the resume scan,
+``repro report``, the live watcher — must see one coherent directory
+regardless of layout, with a fixed merge order (``index.jsonl`` first, then
+shards by sorted filename, lines in file order) so duplicate fingerprints
+resolve last-write-wins identically everywhere.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from repro.scenarios.stream import (
     index_paths,
     is_index_name,
     iter_all_index_entries,
-    shard_index_name,
     shard_index_paths,
 )
 from repro.util.validation import ValidationError
+
+BACKENDS = ("serial", "process-pool", "subprocess-fleet")
 
 BASE = ScenarioSpec(
     name="shard-test",
@@ -68,24 +70,13 @@ def shardify(directory, shards=2):
     for slot in range(shards):
         chunk = lines[slot::shards]
         if chunk:
-            (directory / shard_index_name(f"w{slot}")).write_text(
+            (directory / f"index-w{slot}.jsonl").write_text(
                 "\n".join(chunk) + "\n"
             )
     return directory
 
 
 # -- naming -------------------------------------------------------------------
-
-
-def test_shard_index_name_builds_the_shard_filename():
-    assert shard_index_name("w0") == "index-w0.jsonl"
-    assert shard_index_name("node-3.local") == "index-node-3.local.jsonl"
-
-
-@pytest.mark.parametrize("bad", ["", "-w0", "w 0", "w/0", ".hidden", "w0\n"])
-def test_shard_index_name_rejects_unsafe_shard_names(bad):
-    with pytest.raises(ValidationError):
-        shard_index_name(bad)
 
 
 def test_is_index_name_covers_legacy_and_shards_but_not_artifacts():
@@ -159,7 +150,7 @@ def test_duplicate_fingerprints_across_shards_resolve_last_write_wins(
     # identifies which copy won the merge without breaking verification.
     for shard, cost in (("a", 1.0), ("b", 2.0)):
         duplicated["wall_clock_s"] = cost
-        (directory / shard_index_name(shard)).write_text(
+        (directory / f"index-{shard}.jsonl").write_text(
             json.dumps(duplicated, sort_keys=True) + "\n"
         )
     completed = SweepStream(directory).completed()
@@ -171,15 +162,18 @@ def test_duplicate_fingerprints_across_shards_resolve_last_write_wins(
 def test_resume_over_a_mixed_legacy_and_sharded_directory(
     finished_serial_dir, tmp_path
 ):
-    """Half the completion log in index.jsonl, half in shards: resume runs 0."""
-    directory = copy_of(finished_serial_dir, tmp_path)
-    lines = (directory / INDEX_NAME).read_text().splitlines()
-    (directory / INDEX_NAME).write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    (directory / shard_index_name("w0")).write_text(
-        "\n".join(lines[len(lines) // 2 :]) + "\n"
-    )
-    result = run_scenarios(SWEEP.expand(), resume=directory)
-    assert result.executed == 0 and result.skipped == len(lines)
+    """Half the completion log in index.jsonl, half in shards: resume runs 0.
+
+    Every backend resumes such a directory, as older fleet runs left them.
+    """
+    mixed = copy_of(finished_serial_dir, tmp_path)
+    lines = (mixed / INDEX_NAME).read_text().splitlines()
+    (mixed / INDEX_NAME).write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    (mixed / "index-w0.jsonl").write_text("\n".join(lines[len(lines) // 2 :]) + "\n")
+    for backend in BACKENDS:
+        directory = copy_of(mixed, tmp_path, name=backend)
+        result = run_scenarios(SWEEP.expand(), workers=2, resume=directory, executor=backend)
+        assert result.executed == 0 and result.skipped == len(lines), backend
 
 
 def test_resume_reruns_a_point_whose_only_index_line_is_torn(
@@ -220,7 +214,7 @@ def test_report_over_sharded_directory_matches_the_legacy_report(
 
 
 def test_watcher_discovers_shards_that_appear_mid_run(finished_serial_dir, tmp_path):
-    """A fleet worker's first completion creates its shard file mid-watch."""
+    """A shard file that first appears mid-watch is discovered and tailed."""
     directory = tmp_path / "live"
     directory.mkdir()
     watcher = ReportWatcher(directory)
@@ -234,17 +228,17 @@ def test_watcher_discovers_shards_that_appear_mid_run(finished_serial_dir, tmp_p
     for entry in entries:
         shutil.copy(source / entry["artifact"], directory / entry["artifact"])
     # First refresh: only shard w0 exists, holding the first half.
-    (directory / shard_index_name("w0")).write_text(
+    (directory / "index-w0.jsonl").write_text(
         "\n".join(json.dumps(e, sort_keys=True) for e in entries[:half]) + "\n"
     )
     report = watcher.refresh()
     assert len(report.points) == half
     # Second refresh: shard w1 appears with the rest; w0 also grows a torn
     # tail that must not poison the merge.
-    (directory / shard_index_name("w1")).write_text(
+    (directory / "index-w1.jsonl").write_text(
         "\n".join(json.dumps(e, sort_keys=True) for e in entries[half:]) + "\n"
     )
-    with (directory / shard_index_name("w0")).open("a") as handle:
+    with (directory / "index-w0.jsonl").open("a") as handle:
         handle.write('{"torn":')
     report = watcher.refresh()
     assert len(report.points) == len(entries)
