@@ -58,11 +58,11 @@ from repro.scenarios.artifacts import iter_artifact
 from repro.scenarios.spec import canonical_fingerprint
 from repro.scenarios.stream import (
     FAILURES_NAME,
-    MANIFEST_NAME,
     ROUNDS_NAME,
     index_paths,
     is_index_name,
     iter_index_entries,
+    read_manifest,
     read_rounds,
 )
 from repro.scenarios.sweep import flatten_dotted, split_replicate
@@ -97,10 +97,9 @@ def scan_artifact_paths(directory: str | Path, allow_empty: bool = False) -> lis
     """
     directory = Path(directory)
     require(directory.is_dir(), f"not a sweep directory: {directory}")
-    manifest = directory / MANIFEST_NAME
-    if manifest.is_file():
-        entries = json.loads(manifest.read_text(encoding="utf-8"))["entries"]
-        return [directory / entry["artifact"] for entry in entries]
+    manifest = read_manifest(directory)
+    if manifest is not None:
+        return [directory / entry["artifact"] for entry in manifest["entries"]]
     # Dotted names are the stream writer's crash leftovers (.tmp-*): a
     # killed sweep may leave a partial temp artifact next to the real ones.
     paths = sorted(
@@ -129,9 +128,9 @@ def read_failed_points(directory: str | Path) -> list[dict]:
     should additionally drop entries whose fingerprint they saw succeed.
     """
     directory = Path(directory)
-    manifest = directory / MANIFEST_NAME
-    if manifest.is_file():
-        return list(json.loads(manifest.read_text(encoding="utf-8")).get("failed", []))
+    manifest = read_manifest(directory)
+    if manifest is not None:
+        return list(manifest.get("failed", []))
     entries: dict[str, dict] = {}
     for entry in iter_index_entries(directory / FAILURES_NAME):
         fingerprint = entry.get("fingerprint")
@@ -800,11 +799,9 @@ class ReportWatcher:
                 continue
             self._ingest(self.directory / name)
 
-        manifest_path = self.directory / MANIFEST_NAME
-        if manifest_path.is_file():
-            manifest_entries = json.loads(manifest_path.read_text(encoding="utf-8"))[
-                "entries"
-            ]
+        manifest = read_manifest(self.directory)
+        if manifest is not None:
+            manifest_entries = manifest["entries"]
             order = [entry["artifact"] for entry in manifest_entries]
             # A manifest can list points this watcher never saw land (they
             # were recorded before it attached); read the stragglers now —

@@ -79,7 +79,6 @@ __all__ = [
     "split_replicate",
     "RunRecord",
     "run_scenarios",
-    "run_sweep",
     "save_run",
     "load_run",
     "iter_artifact",
@@ -107,7 +106,6 @@ _LAZY = {
     "split_replicate": "repro.scenarios.sweep",
     "RunRecord": "repro.scenarios.runner",
     "run_scenarios": "repro.scenarios.runner",
-    "run_sweep": "repro.scenarios.runner",
     "save_run": "repro.scenarios.artifacts",
     "load_run": "repro.scenarios.artifacts",
     "iter_artifact": "repro.scenarios.artifacts",

@@ -18,6 +18,12 @@ Two round-structured schedules over the existing streamed-sweep machinery:
   arm (or ``rounds`` rounds) remains — Hyperband-style elimination over a
   healer sweep.
 
+Both blocks, and the :class:`AdaptiveSpec` holding one of them, are
+:class:`~repro.util.validation.Document` classes: a sweep file's
+``adaptive`` block is type-checked field by field with the dotted field
+named (``adaptive.halving.replicates must be an integer, got '2'``), and
+each ``validate()`` checks only ranges and how the block fits the sweep.
+
 Determinism contract
 --------------------
 Every decision is a pure function of **recorded summary rows + derived
@@ -49,19 +55,11 @@ from pathlib import Path
 
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.sweep import SweepSpec, point_label, replicate_spec
-from repro.util.validation import require
-
-
-def _require_int(value, name: str, minimum: int) -> None:
-    require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{name} must be an integer",
-    )
-    require(value >= minimum, f"{name} must be at least {minimum}")
+from repro.util.validation import Document, require
 
 
 @dataclass(frozen=True)
-class StoppingRule:
+class StoppingRule(Document):
     """Stop adding replicates to a point once its bootstrap CI is tight.
 
     Attributes
@@ -91,58 +89,22 @@ class StoppingRule:
     batch: int = 1
 
     def validate(self) -> "StoppingRule":
+        require(bool(self.metric), "a stopping rule needs a summary metric name")
         require(
-            isinstance(self.metric, str) and bool(self.metric),
-            "a stopping rule needs a summary metric name",
-        )
-        require(
-            isinstance(self.target_half_width, (int, float))
-            and not isinstance(self.target_half_width, bool)
-            and math.isfinite(self.target_half_width)
-            and self.target_half_width > 0,
+            math.isfinite(self.target_half_width) and self.target_half_width > 0,
             "target_half_width must be a positive finite number",
         )
-        _require_int(self.min_replicates, "min_replicates", 2)
-        _require_int(self.max_replicates, "max_replicates", 2)
+        require(self.min_replicates >= 2, "min_replicates must be at least 2")
         require(
             self.max_replicates >= self.min_replicates,
             "max_replicates must be >= min_replicates",
         )
-        _require_int(self.batch, "batch", 1)
+        require(self.batch >= 1, "batch must be at least 1")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "target_half_width": self.target_half_width,
-            "min_replicates": self.min_replicates,
-            "max_replicates": self.max_replicates,
-            "batch": self.batch,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StoppingRule":
-        known = {"metric", "target_half_width", "min_replicates", "max_replicates", "batch"}
-        unknown = sorted(set(data) - known)
-        require(
-            not unknown,
-            f"unknown StoppingRule fields {unknown}; known fields: {sorted(known)}",
-        )
-        require(
-            "metric" in data and "target_half_width" in data,
-            "a stopping rule requires 'metric' and 'target_half_width'",
-        )
-        return cls(
-            metric=data["metric"],
-            target_half_width=data["target_half_width"],
-            min_replicates=data.get("min_replicates", 3),
-            max_replicates=data.get("max_replicates", 12),
-            batch=data.get("batch", 1),
-        )
 
 
 @dataclass(frozen=True)
-class HalvingSchedule:
+class HalvingSchedule(Document):
     """Successive halving over one axis by one objective column.
 
     Attributes
@@ -174,6 +136,8 @@ class HalvingSchedule:
         until a single arm remains.  The final round never eliminates.
     """
 
+    _omit_none = ("timesteps", "rounds")
+
     axis: str
     objective: str
     minimize: bool = True
@@ -184,78 +148,25 @@ class HalvingSchedule:
     rounds: int | None = None
 
     def validate(self) -> "HalvingSchedule":
-        require(
-            isinstance(self.axis, str) and bool(self.axis),
-            "a halving schedule needs an axis name",
-        )
-        require(
-            isinstance(self.objective, str) and bool(self.objective),
-            "a halving schedule needs an objective summary column",
-        )
-        require(isinstance(self.minimize, bool), "minimize must be a boolean")
-        require(
-            isinstance(self.keep, (int, float))
-            and not isinstance(self.keep, bool)
-            and 0.0 < self.keep < 1.0,
-            "keep must be a fraction strictly between 0 and 1",
-        )
-        _require_int(self.replicates, "replicates", 1)
-        if self.timesteps is not None:
-            _require_int(self.timesteps, "timesteps", 1)
-        _require_int(self.growth, "growth", 1)
-        if self.rounds is not None:
-            _require_int(self.rounds, "rounds", 1)
+        require(bool(self.axis), "a halving schedule needs an axis name")
+        require(bool(self.objective), "a halving schedule needs an objective summary column")
+        require(0.0 < self.keep < 1.0, "keep must be a fraction strictly between 0 and 1")
+        for name in ("replicates", "timesteps", "growth", "rounds"):
+            value = getattr(self, name)
+            require(value is None or value >= 1, f"{name} must be at least 1")
         return self
-
-    def to_dict(self) -> dict:
-        data = {
-            "axis": self.axis,
-            "objective": self.objective,
-            "minimize": self.minimize,
-            "keep": self.keep,
-            "replicates": self.replicates,
-            "growth": self.growth,
-        }
-        if self.timesteps is not None:
-            data["timesteps"] = self.timesteps
-        if self.rounds is not None:
-            data["rounds"] = self.rounds
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HalvingSchedule":
-        known = {
-            "axis", "objective", "minimize", "keep", "replicates",
-            "timesteps", "growth", "rounds",
-        }
-        unknown = sorted(set(data) - known)
-        require(
-            not unknown,
-            f"unknown HalvingSchedule fields {unknown}; known fields: {sorted(known)}",
-        )
-        require(
-            "axis" in data and "objective" in data,
-            "a halving schedule requires 'axis' and 'objective'",
-        )
-        return cls(
-            axis=data["axis"],
-            objective=data["objective"],
-            minimize=data.get("minimize", True),
-            keep=data.get("keep", 0.5),
-            replicates=data.get("replicates", 1),
-            timesteps=data.get("timesteps"),
-            growth=data.get("growth", 2),
-            rounds=data.get("rounds"),
-        )
 
 
 @dataclass(frozen=True)
-class AdaptiveSpec:
+class AdaptiveSpec(Document):
     """The ``adaptive`` block of a :class:`~repro.scenarios.sweep.SweepSpec`.
 
     Declares exactly one schedule: ``stopping`` (replicate-aware adaptive
-    sampling) or ``halving`` (successive halving over one axis).
+    sampling) or ``halving`` (successive halving over one axis); the unset
+    one is omitted from :meth:`to_dict`.
     """
+
+    _omit_none = ("stopping", "halving")
 
     stopping: StoppingRule | None = None
     halving: HalvingSchedule | None = None
@@ -292,27 +203,6 @@ class AdaptiveSpec:
                     "'timesteps' axis (the budget becomes the timesteps value)",
                 )
         return self
-
-    def to_dict(self) -> dict:
-        if self.stopping is not None:
-            return {"stopping": self.stopping.to_dict()}
-        return {"halving": self.halving.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdaptiveSpec":
-        require(isinstance(data, dict), "an adaptive block must be a JSON object")
-        known = {"stopping", "halving"}
-        unknown = sorted(set(data) - known)
-        require(
-            not unknown,
-            f"unknown AdaptiveSpec fields {unknown}; known fields: {sorted(known)}",
-        )
-        stopping = data.get("stopping")
-        halving = data.get("halving")
-        return cls(
-            stopping=None if stopping is None else StoppingRule.from_dict(stopping),
-            halving=None if halving is None else HalvingSchedule.from_dict(halving),
-        ).validate()
 
 
 # -- pure decision functions ---------------------------------------------------
@@ -638,9 +528,8 @@ def run_adaptive(
     recorded points verify-and-skip, recorded rounds replay (and are checked
     against the ledger), and the run picks up exactly where it stopped,
     byte-identical to never having been interrupted.  ``policy`` /
-    ``executor`` default to the sweep file's own, like ``run_sweep``;
-    ``on_round(entry)`` fires after each round's decision is durably
-    recorded.
+    ``executor`` default to the sweep file's own; ``on_round(entry)``
+    fires after each round's decision is durably recorded.
     """
     sweep.validate()
     adaptive = sweep.adaptive

@@ -48,6 +48,9 @@ GZIP_MAGIC = b"\x1f\x8b"
 #: identical inputs (level 6 is zlib's speed/size sweet spot for JSONL).
 GZIP_LEVEL = 6
 
+#: The line kinds :func:`run_lines` writes; the ``data`` of each is an object.
+ARTIFACT_KINDS = ("spec", "summary", "timeline", "event", "cache_stats")
+
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.scenarios.runner import RunRecord
 from repro.scenarios.spec import ScenarioSpec
@@ -138,6 +141,9 @@ def iter_artifact(path: str | Path):
     sweep directories one line at a time, so aggregate tables over thousands
     of points never hold more than one artifact's worth of rows.  Compressed
     artifacts are decompressed on the fly (see :func:`open_artifact`).
+    Every line must be a JSON object with a string ``kind``, and the
+    ``data`` of each kind :func:`run_lines` writes must be an object; a line
+    that is not raises ``ValueError("<path>:<line>: ...")``.
     """
     path = Path(path)
     with open_artifact(path) as handle:
@@ -148,7 +154,17 @@ def iter_artifact(path: str | Path):
                 entry = json.loads(line)
             except json.JSONDecodeError as error:
                 raise ValueError(f"{path}:{line_number}: not valid JSONL ({error})") from None
-            yield entry.get("kind"), entry.get("data")
+            if not (isinstance(entry, dict) and isinstance(entry.get("kind"), str)):
+                raise ValueError(
+                    f"{path}:{line_number}: an artifact line must be a JSON object "
+                    f"with a string 'kind', got {line.strip()[:80]}"
+                )
+            kind, data = entry["kind"], entry.get("data")
+            if kind in ARTIFACT_KINDS and not isinstance(data, dict):
+                raise ValueError(
+                    f"{path}:{line_number}: {kind} data must be a JSON object, got {data!r}"
+                )
+            yield kind, data
 
 
 def load_run(path: str | Path) -> RunRecord:

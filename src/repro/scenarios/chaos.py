@@ -24,7 +24,9 @@ fault-free serial run.
 Activation is by environment variable (:data:`ENV_VAR` holds a
 :meth:`ChaosSpec.to_json` document) so worker processes inherit the
 schedule without any plumbing, and production runs — where the variable is
-unset — pay nothing.
+unset — pay nothing.  The variable parses as a
+:class:`~repro.util.validation.Document`: an unknown or mistyped field is
+refused by name (``crash_prob must be a finite number, got 'x'``).
 
 Two registry-registered wrapper components exercise the *quarantine* path
 (a point that fails deterministically on every attempt): the
@@ -51,7 +53,7 @@ from repro.scenarios.registry import (
     register_healer,
 )
 from repro.util.rng import derive_seed
-from repro.util.validation import require
+from repro.util.validation import Document, require
 
 #: Environment variable carrying a ``ChaosSpec.to_json()`` document.
 ENV_VAR = "REPRO_CHAOS"
@@ -89,7 +91,7 @@ class PoisonError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(Document):
     """A seeded schedule of injected faults.
 
     Each probability is evaluated independently per ``(fingerprint,
@@ -115,48 +117,9 @@ class ChaosSpec:
         require(self.hang_s >= 0, "hang_s must be non-negative")
         return self
 
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Return the schedule as a plain dict."""
-        return {
-            "crash_prob": self.crash_prob,
-            "hang_prob": self.hang_prob,
-            "hang_s": self.hang_s,
-            "torn_write_prob": self.torn_write_prob,
-            "raise_prob": self.raise_prob,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosSpec":
-        """Build a schedule from a dict, rejecting unknown keys."""
-        require(isinstance(data, dict), "a chaos spec must be a JSON object")
-        known = {
-            "crash_prob",
-            "hang_prob",
-            "hang_s",
-            "torn_write_prob",
-            "raise_prob",
-            "seed",
-        }
-        unknown = sorted(set(data) - known)
-        require(
-            not unknown,
-            f"unknown ChaosSpec fields {unknown}; known fields: {sorted(known)}",
-        )
-        return cls(**{key: data[key] for key in known & set(data)}).validate()
-
     def to_json(self) -> str:
         """Return canonical JSON (sorted keys, compact) — the env-var format."""
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosSpec":
-        """Parse :meth:`to_json` output back into a schedule."""
-        data = json.loads(text)
-        require(isinstance(data, dict), "a chaos spec must be a JSON object")
-        return cls.from_dict(data)
 
 
 def active_chaos() -> ChaosSpec | None:
@@ -169,7 +132,7 @@ def active_chaos() -> ChaosSpec | None:
     text = os.environ.get(ENV_VAR)
     if not text:
         return None
-    return ChaosSpec.from_json(text)
+    return ChaosSpec.from_json(text).validate()
 
 
 def chaos_decision(chaos: ChaosSpec, fingerprint: str, attempt: int) -> str | None:

@@ -13,13 +13,15 @@ One :class:`PointScheduler` enforces the policy under every executor backend.
 The policy never enters a :class:`~repro.scenarios.spec.ScenarioSpec`
 fingerprint: how hard the harness tries to execute a point is an
 operational concern, not part of the point's identity, so toggling
-retries on a resume still matches every recorded artifact.
+retries on a resume still matches every recorded artifact.  It parses and
+serializes as a :class:`~repro.util.validation.Document` (a sweep file's
+``policy`` block is type-checked field by field); :meth:`PointPolicy.validate`
+checks only the ranges.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import random
 import time
 from collections import deque
@@ -28,11 +30,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from repro.util.rng import derive_seed
-from repro.util.validation import require
+from repro.util.validation import Document, require
 
 
 @dataclass(frozen=True)
-class PointPolicy:
+class PointPolicy(Document):
     """Execution limits applied to every point of a sweep.
 
     Attributes
@@ -61,10 +63,6 @@ class PointPolicy:
             self.timeout_s is None or self.timeout_s > 0,
             "timeout_s must be None or positive",
         )
-        require(
-            isinstance(self.max_retries, int) and not isinstance(self.max_retries, bool),
-            "max_retries must be an integer",
-        )
         require(self.max_retries >= 0, "max_retries must be non-negative")
         require(self.backoff >= 0, "backoff must be non-negative")
         return self
@@ -85,36 +83,6 @@ class PointPolicy:
             return 0.0
         rng = random.Random(derive_seed(seed, "retry", fingerprint, attempt))
         return self.backoff * (2**attempt) * (0.5 + rng.random())
-
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Return the policy as a plain dict."""
-        return {
-            "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
-            "backoff": self.backoff,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PointPolicy":
-        """Build a policy from a dict, rejecting unknown keys."""
-        require(isinstance(data, dict), "a point policy must be a JSON object")
-        known = {"timeout_s", "max_retries", "backoff"}
-        unknown = sorted(set(data) - known)
-        require(
-            not unknown,
-            f"unknown PointPolicy fields {unknown}; known fields: {sorted(known)}",
-        )
-        return cls(
-            timeout_s=data.get("timeout_s"),
-            max_retries=data.get("max_retries", 0),
-            backoff=data.get("backoff", 0.0),
-        ).validate()
-
-    def to_json(self) -> str:
-        """Return canonical JSON (sorted keys, compact)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def merged_with(
         self,

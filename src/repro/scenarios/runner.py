@@ -528,59 +528,3 @@ def _run_streamed(
         failed=len(manifest["failed"]),
     )
 
-
-def run_sweep(
-    sweep,
-    workers: int = 1,
-    stream_to: str | Path | None = None,
-    resume: str | Path | None = None,
-    compress: bool | None = None,
-    policy: PointPolicy | None = None,
-    retry_failed: bool = False,
-    executor: str | None = None,
-):
-    """Expand a :class:`~repro.scenarios.sweep.SweepSpec` and run its grid.
-
-    The sweep file's own ``policy`` applies unless an explicit ``policy``
-    argument overrides it wholesale; likewise its ``executor`` unless an
-    explicit ``executor`` argument names a backend.
-
-    A sweep carrying an ``adaptive`` block is round-scheduled through
-    :func:`~repro.scenarios.adaptive.run_adaptive` instead of expanding the
-    full grid — it requires a durable directory (``stream_to``/``resume``)
-    and returns an :class:`~repro.scenarios.adaptive.AdaptiveResult`.
-    """
-    if getattr(sweep, "adaptive", None) is not None:
-        require(
-            stream_to is not None or resume is not None,
-            "adaptive sweeps are round-scheduled over a durable directory; "
-            "pass stream_to=<dir> (or resume=<dir>)",
-        )
-        require(
-            stream_to is None
-            or resume is None
-            or Path(stream_to) == Path(resume),
-            "stream_to and resume must name the same directory when both are given",
-        )
-        from repro.scenarios.adaptive import run_adaptive
-
-        return run_adaptive(
-            sweep,
-            directory=resume if resume is not None else stream_to,
-            workers=workers,
-            compress=compress,
-            policy=policy,
-            retry_failed=retry_failed,
-            executor=executor,
-            resume=resume is not None,
-        )
-    return run_scenarios(
-        sweep.expand(),
-        workers=workers,
-        stream_to=stream_to,
-        resume=resume,
-        compress=compress,
-        policy=policy if policy is not None else getattr(sweep, "policy", None),
-        retry_failed=retry_failed,
-        executor=executor if executor is not None else getattr(sweep, "executor", None),
-    )

@@ -4,7 +4,11 @@ A :class:`ScenarioSpec` names every component of an experiment — healer,
 adversary, initial topology, each with keyword arguments — plus the run
 parameters of :class:`~repro.harness.experiment.ExperimentConfig`.  It is
 plain data: two specs are equal iff they describe the same experiment, and
-``from_json(spec.to_json()) == spec`` exactly.
+``from_json(spec.to_json()) == spec`` exactly.  Parsing, type checks and
+serialization go through :class:`~repro.util.validation.Document`, whose
+schema is the field annotations: unknown keys are refused and a mistyped
+field is named (``timesteps must be an integer, got 'abc'``);
+:meth:`ScenarioSpec.validate` adds the spec's own rules.
 
 Compilation (:meth:`ScenarioSpec.compile`) resolves the names through the
 :mod:`repro.scenarios.registry` registries and produces the
@@ -22,12 +26,12 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.harness.experiment import ExperimentConfig
 from repro.scenarios.registry import ADVERSARIES, HEALERS, TOPOLOGIES
 from repro.util.rng import derive_seed
-from repro.util.validation import ValidationError, require
+from repro.util.validation import Document, ValidationError, require
 
 
 def _check_json_exact(kwargs: dict, what: str) -> None:
@@ -74,15 +78,6 @@ def _check_signature(component, kwargs: dict, what: str, seed_injected: bool) ->
         ) from None
 
 
-#: Field annotation -> (Python type, its name in error messages).  ``bool``
-#: is an ``int`` subclass but never a valid count, seed or kwargs dict.
-_FIELD_TYPES = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "dict": (dict, "a JSON object"),
-}
-
-
 def _accepts_param(component, name: str) -> bool:
     """Return whether ``component`` takes an explicit keyword named ``name``."""
     try:
@@ -97,7 +92,7 @@ def _accepts_seed(component) -> bool:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Document):
     """A named, serializable description of one experiment.
 
     Attributes
@@ -119,6 +114,8 @@ class ScenarioSpec:
         columns.  The default is omitted from :meth:`to_dict`, so the
         fingerprints of every pre-existing spec are unchanged.
     """
+
+    _omit_none = ("snapshot_every",)
 
     healer: str
     topology: str
@@ -152,19 +149,10 @@ class ScenarioSpec:
         :class:`~repro.scenarios.registry.UnknownNameError` with the list of
         registered names and a nearest-match suggestion; kwargs that do not
         fit the component's signature name the accepted parameters.  Every
-        field must have its annotated type (``int`` fields reject ``bool``).
+        field must have its annotated type (``int`` fields reject ``bool``):
+        sweep axes assign values after the document was parsed.
         """
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            kind, _, optional = spec_field.type.partition(" | ")
-            expected, described = _FIELD_TYPES[kind]
-            if value is None and optional:
-                continue
-            require(
-                isinstance(value, expected) and not isinstance(value, bool),
-                f"{spec_field.name} must be {described}{' or null' if optional else ''}, "
-                f"got {value!r}",
-            )
+        self.check_types()
         healer_cls = HEALERS.get(self.healer)
         adversary_cls = ADVERSARIES.get(self.adversary)
         topology_fn = TOPOLOGIES.get(self.topology)
@@ -199,45 +187,6 @@ class ScenarioSpec:
             "snapshot_every must be None or non-negative",
         )
         return self
-
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Return the spec as a plain dict (stable schema).
-
-        ``snapshot_every`` is omitted while at its default (``None``): the
-        field post-dates the artifact/fingerprint format, and omission keeps
-        every previously recorded spec fingerprinting identically — resumable
-        sweep directories stay resumable across the upgrade.
-        """
-        data = asdict(self)
-        if data.get("snapshot_every") is None:
-            del data["snapshot_every"]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Build a spec from a dict, rejecting unknown keys with suggestions."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        require(
-            not unknown,
-            f"unknown ScenarioSpec fields {unknown}; known fields: {sorted(known)}",
-        )
-        require("healer" in data, "ScenarioSpec requires a 'healer' name")
-        require("topology" in data, "ScenarioSpec requires a 'topology' name")
-        return cls(**data)
-
-    def to_json(self) -> str:
-        """Return canonical JSON (sorted keys, 2-space indent, trailing newline)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Parse :meth:`to_json` output (or any dict-shaped JSON) back to a spec."""
-        data = json.loads(text)
-        require(isinstance(data, dict), "a scenario spec must be a JSON object")
-        return cls.from_dict(data)
 
     def with_overrides(self, **overrides) -> "ScenarioSpec":
         """Return a copy with the given fields replaced (sweeps/CLI helper)."""

@@ -113,6 +113,41 @@ def iter_all_index_entries(directory: Path):
     for path in index_paths(directory):
         yield from iter_index_entries(path)
 
+
+def read_manifest(directory: Path) -> dict | None:
+    """Return the directory's ``MANIFEST.json``, or ``None`` when it has none.
+
+    The one manifest reader, so every consumer may index into what it
+    returns: an object whose ``entries`` is a list of objects, each with a
+    string ``artifact`` and ``fingerprint``, and whose ``failed``, when
+    present, is a list of objects.  Anything else raises ``ValueError``
+    naming the path and the field.
+    """
+    path = Path(directory) / MANIFEST_NAME
+    if not path.is_file():
+        return None
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: not valid JSON ({error})") from None
+    require(isinstance(manifest, dict), f"{path}: must be a JSON object, got {manifest!r}")
+    entries = manifest.get("entries")
+    require(isinstance(entries, list), f"{path}: entries must be a list, got {entries!r}")
+    for i, entry in enumerate(entries):
+        require(isinstance(entry, dict), f"{path}: entries[{i}] must be a JSON object, got {entry!r}")
+        for key in ("artifact", "fingerprint"):
+            require(
+                isinstance(entry.get(key), str),
+                f"{path}: entries[{i}].{key} must be a string, got {entry.get(key)!r}",
+            )
+    failed = manifest.get("failed", [])
+    require(
+        isinstance(failed, list) and all(isinstance(entry, dict) for entry in failed),
+        f"{path}: failed must be a list of JSON objects, got {failed!r}",
+    )
+    return manifest
+
+
 #: Append-only adaptive-round ledger (``rounds.jsonl``): one fsync'd line per
 #: completed adaptive round, recording the round's budget and its decisions
 #: (survivors, converged/exhausted points).  Written by

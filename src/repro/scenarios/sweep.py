@@ -19,6 +19,12 @@ Either way expansion is a pure function of the sweep document — independent
 of execution order and worker count — so
 ``run_scenarios(sweep.expand(), workers=4)`` is bit-identical to
 ``workers=1``.
+
+A sweep file parses through :class:`~repro.util.validation.Document` like
+every other document: unknown keys are refused and every field, down to the
+nested ``base``, ``policy`` and ``adaptive`` blocks, is type-checked with
+the dotted field named (``adaptive.halving.keep must be a finite number,
+got 'x'``).  :meth:`SweepSpec.validate` adds the sweep's own rules.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field, fields
 from repro.scenarios.policy import PointPolicy
 from repro.scenarios.spec import ScenarioSpec, canonical_fingerprint
 from repro.util.rng import derive_seed
-from repro.util.validation import require
+from repro.util.validation import Document, require
 
 #: Axis prefixes that address component kwargs via a dotted path.
 _KWARGS_FIELDS = ("healer_kwargs", "adversary_kwargs", "topology_kwargs")
@@ -147,7 +153,7 @@ def apply_axis(spec: ScenarioSpec, key: str, value) -> ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Document):
     """A base scenario crossed with parameter axes.
 
     Attributes
@@ -198,12 +204,18 @@ class SweepSpec:
         successive halving over one axis).  Like ``policy``/``executor`` it
         is omitted from :meth:`to_dict` when unset, so pre-existing sweep
         documents keep their schema and fingerprints; unlike them it *does*
-        change what runs — ``run_sweep``/``repro sweep`` route an adaptive
-        sweep through :func:`~repro.scenarios.adaptive.run_adaptive` instead
-        of expanding the full grid.  Adaptive sweeps manage per-point
-        replicate counts themselves, so ``replicates`` must stay 1 and a
-        ``seed`` axis is rejected.
+        change what runs — ``repro sweep`` routes an adaptive sweep through
+        :func:`~repro.scenarios.adaptive.run_adaptive` instead of expanding
+        the full grid.  Adaptive sweeps manage per-point replicate counts
+        themselves, so ``replicates`` must stay 1 and a ``seed`` axis is
+        rejected.
+
+    A sweep file must carry ``base`` and ``axes``; ``axes`` defaults to
+    empty only for sweeps built in code (``SweepSpec(base=..., replicates=N)``).
     """
+
+    _required = ("axes",)
+    _omit_none = ("policy", "executor", "adaptive")
 
     base: ScenarioSpec
     axes: dict = field(default_factory=dict)
@@ -212,7 +224,7 @@ class SweepSpec:
     replicates: int = 1
     policy: PointPolicy | None = None
     executor: str | None = None
-    adaptive: "object | None" = None
+    adaptive: AdaptiveSpec | None = None
 
     @property
     def label(self) -> str:
@@ -220,31 +232,13 @@ class SweepSpec:
         return self.name or self.base.label
 
     def validate(self) -> "SweepSpec":
-        """Check every field's type, the base spec, every axis and the replicate count."""
-        require(
-            isinstance(self.axes, dict),
-            f"axes must be a JSON object of value lists, got {self.axes!r}",
-        )
+        """Check the base spec, every axis, the replicate count and the nested blocks."""
         for key, values in self.axes.items():
             require(
                 isinstance(values, (list, tuple)) and len(values) > 0,
                 f"axis {key!r} must map to a non-empty list of values",
             )
-        for name in ("name", "executor"):
-            value = getattr(self, name)
-            require(
-                value is None or isinstance(value, str),
-                f"{name} must be a string or null, got {value!r}",
-            )
-        require(
-            isinstance(self.derive_seeds, bool),
-            f"derive_seeds must be true or false, got {self.derive_seeds!r}",
-        )
         self.base.validate()
-        require(
-            isinstance(self.replicates, int) and not isinstance(self.replicates, bool),
-            "replicates must be an integer",
-        )
         require(self.replicates >= 1, "replicates must be at least 1")
         require(
             bool(self.axes) or self.replicates > 1 or self.adaptive is not None,
@@ -327,68 +321,7 @@ class SweepSpec:
         """
         return canonical_fingerprint(self.to_dict())
 
-    # -- serialization --------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """Return the sweep as a plain dict.
-
-        ``policy``, ``executor`` and ``adaptive`` are omitted when unset, so
-        the schema (and every sweep fingerprint) of documents predating them
-        is unchanged byte for byte.
-        """
-        data = {
-            "base": self.base.to_dict(),
-            "axes": {key: list(values) for key, values in self.axes.items()},
-            "name": self.name,
-            "derive_seeds": self.derive_seeds,
-            "replicates": self.replicates,
-        }
-        if self.policy is not None:
-            data["policy"] = self.policy.to_dict()
-        if self.executor is not None:
-            data["executor"] = self.executor
-        if self.adaptive is not None:
-            data["adaptive"] = self.adaptive.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        """Build a sweep from a dict, rejecting unknown keys."""
-        known = {
-            "base", "axes", "name", "derive_seeds", "replicates", "policy",
-            "executor", "adaptive",
-        }
-        unknown = sorted(set(data) - known)
-        require(not unknown, f"unknown SweepSpec fields {unknown}; known fields: {sorted(known)}")
-        require("base" in data and "axes" in data, "SweepSpec requires 'base' and 'axes'")
-        require(
-            isinstance(data["base"], dict),
-            f"base must be a JSON object, got {data['base']!r}",
-        )
-        policy = data.get("policy")
-        adaptive = data.get("adaptive")
-        if adaptive is not None:
-            from repro.scenarios.adaptive import AdaptiveSpec
-
-            adaptive = AdaptiveSpec.from_dict(adaptive)
-        return cls(
-            base=ScenarioSpec.from_dict(data["base"]),
-            axes=data["axes"],
-            name=data.get("name"),
-            derive_seeds=data.get("derive_seeds", False),
-            replicates=data.get("replicates", 1),
-            policy=None if policy is None else PointPolicy.from_dict(policy),
-            executor=data.get("executor"),
-            adaptive=adaptive,
-        )
-
-    def to_json(self) -> str:
-        """Return canonical JSON (sorted keys, 2-space indent, trailing newline)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        """Parse :meth:`to_json` output back into a sweep."""
-        data = json.loads(text)
-        require(isinstance(data, dict), "a sweep spec must be a JSON object")
-        return cls.from_dict(data)
+# ``SweepSpec.adaptive``'s annotation names a class that module defines, and
+# it imports this one: import it last, once every name above exists.
+import repro.scenarios.adaptive  # noqa: E402,F401

@@ -1,11 +1,27 @@
-"""Lightweight argument validation helpers.
+"""Lightweight argument validation helpers, and the one JSON schema path.
 
 The public API of the library validates its inputs eagerly and raises
 :class:`ValidationError` with an explicit message rather than failing deep
 inside a simulation with an obscure networkx error.
+
+Every JSON document the library reads — a scenario or sweep spec, a sweep's
+``policy`` and ``adaptive`` blocks, the ``REPRO_CHAOS`` fault schedule — is a
+frozen dataclass deriving from :class:`Document`, whose field annotations
+are the schema: :meth:`Document.from_dict` refuses unknown and missing keys
+and type-checks every field, nested documents included, naming the dotted
+field (``policy.timeout_s must be a finite number or null, got '5'``);
+:meth:`Document.to_dict` writes the document back as fresh JSON-native
+containers.  Each class's own ``validate()`` then checks only its own
+rules (ranges, cross-field agreement, registry names).
 """
 
 from __future__ import annotations
+
+import json
+import math
+from dataclasses import MISSING, fields
+from functools import cache
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -40,3 +56,145 @@ def require_in(value, options, name: str) -> None:
     """Require ``value`` to be one of ``options``."""
     if value not in options:
         raise ValidationError(f"{name} must be one of {sorted(options)!r}, got {value!r}")
+
+
+# -- JSON documents -------------------------------------------------------------
+
+#: Field annotation -> (accepted Python types, its name in error messages).
+#: ``bool`` is an ``int`` subclass but never a valid count, number or name;
+#: a number is finite (``json`` parses ``NaN`` and ``Infinity``, JSON has
+#: neither).
+_SCALARS = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a finite number"),
+    "bool": (bool, "a boolean"),
+    "dict": (dict, "a JSON object"),
+    "list": (list, "a JSON array"),
+}
+
+#: Every :class:`Document` subclass by name, so an annotation can nest one.
+_DOCUMENTS: dict[str, type] = {}
+
+
+class _Field(NamedTuple):
+    """One field's schema, derived from its annotation and default."""
+
+    types: type | tuple
+    expected: str  # "an integer or null"
+    optional: bool
+    required: bool
+    document: type | None  # the nested document class, if any
+
+
+@cache
+def _schema(cls) -> dict[str, _Field]:
+    """Return ``field name -> _Field`` for a document class, in field order."""
+    schema = {}
+    for spec_field in fields(cls):
+        kind, _, optional = spec_field.type.partition(" | ")
+        document = _DOCUMENTS.get(kind)
+        types, expected = (document, "a JSON object") if document else _SCALARS[kind]
+        schema[spec_field.name] = _Field(
+            types=types,
+            expected=expected + (" or null" if optional else ""),
+            optional=bool(optional),
+            required=spec_field.name in cls._required
+            or (spec_field.default is MISSING and spec_field.default_factory is MISSING),
+            document=document,
+        )
+    return schema
+
+
+def _plain(value):
+    """Return ``value`` as fresh JSON-native containers."""
+    if isinstance(value, Document):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+class Document:
+    """Base of the frozen dataclasses that are JSON documents.
+
+    A subclass's field annotations are its schema: ``str``, ``int`` (never a
+    ``bool``), ``float`` (finite; an ``int`` too), ``bool``, ``dict``,
+    ``list`` or the name of another document class (a nested JSON object),
+    each optionally ``| None``.  Fields without a default, and those named in
+    ``_required``, must be present in a parsed document; fields named in
+    ``_omit_none`` are left out of :meth:`to_dict` while ``None``, so
+    documents written before the field existed keep their bytes and
+    fingerprints.
+    """
+
+    _required: tuple = ()
+    _omit_none: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _DOCUMENTS[cls.__name__] = cls
+
+    @classmethod
+    def from_dict(cls, data, path: str = ""):
+        """Build a document from a parsed JSON object, checking every field.
+
+        Unknown and missing keys are refused, and every field must have its
+        annotated type; errors name the field by its dotted path from the
+        outermost document (``path`` is the prefix of a nested one, such as
+        ``"adaptive.halving."``).  Defaults come from the dataclass.
+        """
+        if not isinstance(data, dict):
+            raise ValidationError(f"a {cls.__name__} must be a JSON object, got {data!r}")
+        schema = _schema(cls)
+        unknown = sorted(set(data) - set(schema))
+        if unknown:
+            raise ValidationError(
+                f"unknown {cls.__name__} fields {unknown}; known fields: {sorted(schema)}"
+            )
+        missing = [path + name for name, spec in schema.items() if spec.required and name not in data]
+        if missing:
+            raise ValidationError(f"{cls.__name__} requires {', '.join(map(repr, missing))}")
+        values = {}
+        for name, value in data.items():
+            nested = schema[name].document
+            if nested is not None and isinstance(value, dict):
+                value = nested.from_dict(value, f"{path}{name}.")
+            values[name] = value
+        document = cls(**values)
+        document.check_types(path)
+        return document
+
+    def check_types(self, path: str = "") -> None:
+        """Require every field to hold its annotated type (nested documents by class)."""
+        # Not ``require``: the message is formatted only on failure, and this
+        # runs for every point of a sweep.
+        for name, spec in _schema(type(self)).items():
+            value = getattr(self, name)
+            if value is None and spec.optional:
+                continue
+            if (
+                not isinstance(value, spec.types)
+                or (isinstance(value, bool) and spec.types is not bool)
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                raise ValidationError(f"{path}{name} must be {spec.expected}, got {value!r}")
+
+    def to_dict(self) -> dict:
+        """Return the document as fresh JSON-native containers (stable schema)."""
+        return {
+            name: _plain(getattr(self, name))
+            for name in _schema(type(self))
+            if not (name in self._omit_none and getattr(self, name) is None)
+        }
+
+    def to_json(self) -> str:
+        """Return canonical JSON (sorted keys, 2-space indent, trailing newline)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Parse :meth:`to_json` output (or any JSON object) back to a document."""
+        return cls.from_dict(json.loads(text))

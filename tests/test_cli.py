@@ -9,6 +9,7 @@ usage/input error); a replay that *runs* but deviates exits 1.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -134,6 +135,13 @@ def test_sweep_unknown_axis_names_the_sweepable_fields(tmp_path, capsys):
     assert "timestps" in err and "not a sweepable field" in err
 
 
+#: Valid blocks the dotted cases below plant their one wrong field into.
+BLOCKS = {
+    "policy": {"timeout_s": 5.0},
+    "adaptive": {"halving": {"axis": "timesteps", "objective": "amortized_msgs"}},
+}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -142,17 +150,45 @@ def test_sweep_unknown_axis_names_the_sweepable_fields(tmp_path, capsys):
         ("derive_seeds", "false"),
         ("name", 5),
         ("base", 5),
+        ("policy.timeout_s", "5"),
+        ("policy.timeout_s", True),
+        ("policy.backoff", "x"),
+        ("policy.timeout_s", float("inf")),
+        ("adaptive.stopping", 5),
+        ("adaptive.halving.replicates", "2"),
     ],
 )
 def test_sweep_mistyped_field_exits_two_naming_the_field(tmp_path, capsys, field, value):
     document = SWEEP.to_dict()
-    document[field] = value
+    *parents, leaf = field.split(".")
+    target = document
+    for key in parents:
+        target = target.setdefault(key, copy.deepcopy(BLOCKS.get(key, {})))
+    target[leaf] = value
     path = tmp_path / "mistyped.json"
     path.write_text(json.dumps(document))
     assert cli_main(["sweep", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be ")
     assert repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "schedule, field",
+    [
+        ('{"crash_prob": "x"}', "crash_prob"),
+        ('{"hang_prob": 1.0, "hang_s": Infinity}', "hang_s"),
+    ],
+    ids=["crash-prob-string", "hang-s-infinity"],
+)
+def test_sweep_mistyped_chaos_schedule_exits_two_naming_the_field(
+    sweep_file, capsys, monkeypatch, schedule, field
+):
+    monkeypatch.setenv("REPRO_CHAOS", schedule)
+    assert cli_main(["sweep", str(sweep_file)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -267,6 +303,48 @@ def test_report_tampered_artifact_exits_two(tmp_path, capsys):
     assert cli_main(["report", str(directory)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "not valid JSONL" in err
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+@pytest.mark.parametrize(
+    "line", ["[1, 2]", '{"kind": "spec", "data": 5}'], ids=["array", "spec-data-int"]
+)
+def test_malformed_artifact_line_exits_two_naming_the_line(
+    spec_file, tmp_path, capsys, command, line
+):
+    directory = tmp_path / "dir"
+    artifact = directory / "0000-run.jsonl"
+    assert cli_main(["run", str(spec_file), "--artifact", str(artifact)]) == 0
+    capsys.readouterr()
+    lines = artifact.read_text().splitlines()
+    lines.insert(1, line)
+    artifact.write_text("\n".join(lines) + "\n")
+    target = artifact if command == "replay" else directory
+    assert cli_main([command, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"{artifact}:2: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "manifest, field",
+    [
+        ("{}", "entries"),
+        ('{"entries": [{"x": 1}]}', "entries[0].artifact"),
+        ("[1]", "must be a JSON object"),
+    ],
+    ids=["no-entries", "entry-without-artifact", "array"],
+)
+def test_report_malformed_manifest_exits_two_naming_the_field(
+    tmp_path, capsys, manifest, field
+):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    (directory / "MANIFEST.json").write_text(manifest)
+    assert cli_main(["report", str(directory)]) == 2
+    err = capsys.readouterr().err
+    assert f"{directory / 'MANIFEST.json'}: " in err and field in err
+    assert "Traceback" not in err
 
 
 def test_report_watch_missing_directory_exits_two(tmp_path, capsys):

@@ -4,17 +4,34 @@ ISSUE 3 satellite: random ``ScenarioSpec``/``SweepSpec`` values round-trip
 ``to_json``/``from_json`` exactly, fingerprints are canonical (stable across
 dict insertion orders, sensitive to every field value), and ``derive_seed``
 separates roles — the healer, adversary, topology and sweep streams derived
-from one base seed never collide.
+from one base seed never collide.  Every JSON document class round-trips,
+and a document with one field of the wrong JSON type is refused with a
+``ValidationError`` naming that field's dotted path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios import ScenarioSpec, SweepSpec, list_adversaries, list_healers, list_topologies
+from repro.scenarios import (
+    AdaptiveSpec,
+    ChaosSpec,
+    HalvingSchedule,
+    PointPolicy,
+    ScenarioSpec,
+    StoppingRule,
+    SweepSpec,
+    list_adversaries,
+    list_executors,
+    list_healers,
+    list_topologies,
+)
 from repro.scenarios.spec import canonical_fingerprint
 from repro.util.rng import derive_seed
 from repro.util.validation import ValidationError
@@ -64,6 +81,7 @@ def scenario_specs(draw) -> ScenarioSpec:
         exact_expansion_limit=draw(st.integers(min_value=0, max_value=30)),
         stretch_sample_pairs=draw(st.none() | st.integers(min_value=1, max_value=1000)),
         seed=draw(st.integers(min_value=0, max_value=2**63)),
+        snapshot_every=draw(st.none() | st.integers(min_value=0, max_value=100)),
     )
 
 
@@ -87,6 +105,65 @@ def sweep_specs(draw) -> SweepSpec:
     )
 
 
+_names = st.text(min_size=1, max_size=8)
+_fractions = st.floats(min_value=0.0, max_value=1.0)
+policies = st.builds(
+    PointPolicy,
+    timeout_s=st.none() | st.integers(1, 100) | st.floats(min_value=0.001, max_value=1e4),
+    max_retries=st.integers(0, 5),
+    backoff=st.integers(0, 3) | st.floats(min_value=0.0, max_value=10.0),
+)
+stopping_rules = st.builds(
+    StoppingRule,
+    metric=_names,
+    target_half_width=st.floats(min_value=1e-6, max_value=1e3),
+    min_replicates=st.integers(2, 5),
+    max_replicates=st.integers(5, 20),
+    batch=st.integers(1, 4),
+)
+halving_schedules = st.builds(
+    HalvingSchedule,
+    axis=_names,
+    objective=_names,
+    minimize=st.booleans(),
+    keep=st.floats(min_value=0.01, max_value=0.99),
+    replicates=st.integers(1, 4),
+    timesteps=st.none() | st.integers(1, 50),
+    growth=st.integers(1, 3),
+    rounds=st.none() | st.integers(1, 5),
+)
+adaptive_specs = st.builds(AdaptiveSpec, stopping=stopping_rules) | st.builds(
+    AdaptiveSpec, halving=halving_schedules
+)
+chaos_specs = st.builds(
+    ChaosSpec,
+    crash_prob=_fractions,
+    hang_prob=_fractions,
+    hang_s=st.floats(min_value=0.0, max_value=5.0),
+    torn_write_prob=_fractions,
+    raise_prob=_fractions,
+    seed=st.integers(0, 2**32),
+)
+
+
+@st.composite
+def full_sweep_specs(draw) -> SweepSpec:
+    """Sweeps carrying the operational and adaptive blocks too."""
+    return dataclasses.replace(
+        draw(sweep_specs()),
+        replicates=draw(st.integers(1, 4)),
+        policy=draw(st.none() | policies),
+        executor=draw(st.none() | st.sampled_from(list_executors())),
+        adaptive=draw(st.none() | adaptive_specs),
+    )
+
+
+#: Every JSON document class: a full sweep nests the scenario, policy and
+#: adaptive classes; ChaosSpec (the ``REPRO_CHAOS`` value) nests in no other
+#: document, so it is drawn on its own.
+documents = st.one_of(scenario_specs(), full_sweep_specs(), chaos_specs)
+
+
 @FAST
 @given(scenario_specs())
 def test_scenario_spec_round_trips_exactly(spec):
@@ -101,6 +178,66 @@ def test_scenario_spec_round_trips_exactly(spec):
 @given(sweep_specs())
 def test_sweep_spec_round_trips_exactly(sweep):
     assert SweepSpec.from_json(sweep.to_json()) == sweep
+
+
+@FAST
+@given(documents)
+def test_every_document_round_trips_exactly(document):
+    text = document.to_json()
+    rebuilt = type(document).from_json(text)
+    assert rebuilt == document
+    assert rebuilt.to_json() == text
+
+
+def _annotated_fields(document, prefix: str = ""):
+    """Yield ``(dotted path, annotation kind, optional)`` for every field, nested ones too."""
+    for spec_field in dataclasses.fields(document):
+        kind, _, optional = spec_field.type.partition(" | ")
+        path = prefix + spec_field.name
+        yield path, kind, bool(optional)
+        value = getattr(document, spec_field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _annotated_fields(value, f"{path}.")
+
+
+#: Which JSON values each scalar annotation accepts; a ``dict`` field or a
+#: nested document accepts any object (a nested document's own fields are
+#: fuzzed separately).
+_ACCEPTS = {
+    "str": lambda value: isinstance(value, str),
+    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "float": lambda value: (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    ),
+    "bool": lambda value: isinstance(value, bool),
+}
+#: Python's json parses NaN and Infinity, which JSON numbers exclude.
+_JSON_VALUES = ["x", 5, 2.5, float("inf"), float("nan"), True, None, [1], {"k": 1}]
+
+
+@FAST
+@given(documents, st.data())
+def test_one_mistyped_field_is_refused_by_its_dotted_name(document, data):
+    path, kind, optional = data.draw(st.sampled_from(list(_annotated_fields(document))))
+    accepts = _ACCEPTS.get(kind, lambda value: isinstance(value, dict))
+    wrong = data.draw(
+        st.sampled_from(
+            [
+                value
+                for value in _JSON_VALUES
+                if not accepts(value) and not (value is None and optional)
+            ]
+        )
+    )
+    payload = document.to_dict()
+    *parents, leaf = path.split(".")
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[leaf] = wrong
+    with pytest.raises(ValidationError) as caught:
+        type(document).from_dict(payload).validate()
+    assert str(caught.value).startswith(f"{path} must be ")
 
 
 @FAST
