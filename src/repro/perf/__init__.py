@@ -6,7 +6,8 @@ and :mod:`repro.analysis`); this package provides *fast ways to compute them*:
 
 * :mod:`repro.perf.kernels` — exact minimum-expansion and minimum-conductance
   cuts via a bit-packed Gray-code enumeration whose per-cut crossing count is
-  an O(1)-amortised vectorized update rather than an O(m) edge rescan.
+  an O(1)-amortised vectorized update rather than an O(m) edge rescan, and
+  the O(n + m) prefix-cut kernel that scores a whole Fiedler sweep at once.
 * :mod:`repro.perf.engine` — :class:`~repro.perf.engine.MetricsEngine`, which
   memoises every metric on the owning graph's monotonic version counter
   (``SelfHealer.graph_version`` / ``GhostGraph.version``) and warm-starts the

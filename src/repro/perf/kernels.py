@@ -1,4 +1,4 @@
-"""Vectorized exact cut kernels (Gray-code enumeration, bit-packed NumPy).
+"""Vectorized cut kernels: exact Gray-code enumeration and prefix sweeps.
 
 The brute-force kernels in :mod:`repro.spectral.expansion` and
 :mod:`repro.spectral.cheeger` rescan every edge for every enumerated subset —
@@ -25,6 +25,13 @@ size constraint examines every legal cut exactly through one pass over
 
 Conductance is symmetric under complementation, so for the Cheeger kernel a
 single side per enumerated subset suffices.
+
+**Prefix sweeps.**  :func:`prefix_cut_counts` scores every prefix
+``order[:k]`` of a node order at once, in O(n + m): an edge whose endpoints
+rank ``a <= b`` crosses exactly the prefixes with ``a < k <= b``, so a
+difference array over edge ranks cumsums to the crossing counts, and a
+degree cumsum gives the volumes.  The expansion and conductance upper
+bounds score their Fiedler sweeps and sampled cuts through it.
 """
 
 from __future__ import annotations
@@ -57,6 +64,17 @@ else:  # NumPy < 2.0: SWAR popcount over uint64 lanes
         return (v * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
+def cut_arrays(graph: nx.Graph) -> tuple[list[NodeId], np.ndarray, np.ndarray, np.ndarray]:
+    """Return ``(nodes, tails, heads, degrees)``: edge ``j`` joins node indices
+    ``tails[j]`` and ``heads[j]``; a self-loop counts twice in ``degrees``."""
+    nodes = list(graph)
+    index = {node: i for i, node in enumerate(nodes)}
+    # fromiter, not a list of index tuples: no per-edge Python objects.
+    flat = (index[node] for edge in graph.edges() for node in edge)
+    ends = np.fromiter(flat, np.intp, 2 * graph.number_of_edges()).reshape(-1, 2)
+    return nodes, ends[:, 0], ends[:, 1], np.bincount(ends.ravel(), minlength=len(nodes))
+
+
 def _bit_pack(graph: nx.Graph) -> tuple[list[NodeId], np.ndarray, np.ndarray]:
     """Return ``(nodes, degrees, adjacency_masks)`` for the Gray-code scan.
 
@@ -66,15 +84,9 @@ def _bit_pack(graph: nx.Graph) -> tuple[list[NodeId], np.ndarray, np.ndarray]:
     contribute to ``degrees`` only — the anchor is never inside an enumerated
     subset, so those edges always cross.
     """
-    nodes = list(graph.nodes())
-    n = len(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    degrees = np.zeros(n, dtype=np.int64)
-    masks = np.zeros(max(1, n - 1), dtype=np.uint64)
-    for u, v in graph.edges():
-        iu, iv = index[u], index[v]
-        degrees[iu] += 1
-        degrees[iv] += 1
+    nodes, tails, heads, degrees = cut_arrays(graph)
+    masks = np.zeros(max(1, len(nodes) - 1), dtype=np.uint64)
+    for iu, iv in zip(tails.tolist(), heads.tolist()):
         if iu > 0 and iv > 0:
             masks[iu - 1] |= np.uint64(1) << np.uint64(iv - 1)
             masks[iv - 1] |= np.uint64(1) << np.uint64(iu - 1)
@@ -204,3 +216,17 @@ def exact_minimum_cheeger_cut(graph: nx.Graph) -> tuple[float, frozenset[NodeId]
     ):
         members = frozenset(nodes) - members
     return best_value, members
+
+
+def prefix_cut_counts(order, tails, heads, degrees) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(crossings, volumes)`` of ``order[:k]`` at index ``k - 1``, in O(n + m).
+
+    Nodes missing from ``order`` rank last: a partial order's last entry is its member cut.
+    """
+    size = len(order)
+    rank = np.full(len(degrees), size)
+    rank[order] = np.arange(size)
+    first = np.minimum(rank[tails], rank[heads])
+    last = np.maximum(rank[tails], rank[heads])
+    steps = np.bincount(first + 1, minlength=size + 2) - np.bincount(last + 1, minlength=size + 2)
+    return np.cumsum(steps)[1 : size + 1], np.cumsum(degrees[order])

@@ -141,9 +141,9 @@ def iter_artifact(path: str | Path):
     sweep directories one line at a time, so aggregate tables over thousands
     of points never hold more than one artifact's worth of rows.  Compressed
     artifacts are decompressed on the fly (see :func:`open_artifact`).
-    Every line must be a JSON object with a string ``kind``, and the
-    ``data`` of each kind :func:`run_lines` writes must be an object; a line
-    that is not raises ``ValueError("<path>:<line>: ...")``.
+    Every line must be a JSON object with a string ``kind``, the ``data`` of
+    each kind :func:`run_lines` writes an object and a spec line a valid
+    :class:`ScenarioSpec`; a line that is not raises ``ValueError("<path>:<line>: ...")``.
     """
     path = Path(path)
     with open_artifact(path) as handle:
@@ -164,6 +164,11 @@ def iter_artifact(path: str | Path):
                 raise ValueError(
                     f"{path}:{line_number}: {kind} data must be a JSON object, got {data!r}"
                 )
+            if kind == "spec":
+                try:
+                    ScenarioSpec.from_dict(data)
+                except ValueError as error:
+                    raise ValueError(f"{path}:{line_number}: {error}") from None
             yield kind, data
 
 

@@ -55,7 +55,7 @@ from repro.scenarios.registry import register_executor
 from repro.util.validation import require
 
 #: Seconds a freshly spawned worker gets to print its ready line before the
-#: slot is recycled (generous: a worker imports numpy/scipy on startup).
+#: slot is recycled (generous: a worker imports numpy/networkx on startup).
 READY_TIMEOUT_S = 120.0
 
 #: Consecutive pre-ready deaths of one worker slot before the fleet concludes

@@ -19,15 +19,20 @@ from typing import Iterable
 import networkx as nx
 import numpy as np
 
-from repro.perf.kernels import MAX_EXACT_NODES, exact_minimum_cheeger_cut
-from repro.spectral.expansion import crossing_edges_of_cut
+from repro.perf.kernels import (
+    MAX_EXACT_NODES,
+    cut_arrays,
+    exact_minimum_cheeger_cut,
+    prefix_cut_counts,
+)
+from repro.spectral.expansion import (
+    DEFAULT_EXACT_LIMIT,
+    crossing_edges_of_cut,
+    fiedler_order,
+    fixed_cut_counts,
+)
 from repro.util.ids import NodeId
-from repro.util.rng import SeededRng
 from repro.util.validation import require
-
-#: Kept in lockstep with :data:`repro.spectral.expansion.DEFAULT_EXACT_LIMIT`:
-#: the vectorized Gray-code kernel makes 22 nodes affordable.
-DEFAULT_EXACT_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -61,12 +66,6 @@ def cheeger_constant_of_cut(graph: nx.Graph, cut: Iterable[NodeId]) -> float:
     return crossing / denominator
 
 
-def _exact_cheeger(graph: nx.Graph) -> CheegerResult:
-    """Exact minimum conductance cut via the vectorized Gray-code kernel."""
-    value, cut = exact_minimum_cheeger_cut(graph)
-    return CheegerResult(value, cut, exact=True)
-
-
 def exact_cheeger_reference(graph: nx.Graph) -> CheegerResult:
     """Brute-force conductance minimisation, kept as equivalence-test ground truth."""
     nodes = list(graph.nodes())
@@ -87,6 +86,17 @@ def exact_cheeger_reference(graph: nx.Graph) -> CheegerResult:
     return CheegerResult(best_value, best_cut, exact=True)
 
 
+def _sweep(graph: nx.Graph, arrays) -> CheegerResult:
+    """The first best proper prefix of the normalized Fiedler order."""
+    nodes, tails, heads, degrees = arrays
+    order = fiedler_order(graph, normalized=True)
+    crossings, volumes = prefix_cut_counts(order[:-1], tails, heads, degrees)
+    values = crossings / np.minimum(volumes, degrees.sum() - volumes)
+    pos = int(np.argmin(values))
+    cut = frozenset(nodes[i] for i in order[: pos + 1])
+    return CheegerResult(float(values[pos]), cut, exact=False)
+
+
 def conductance_sweep(graph: nx.Graph) -> CheegerResult:
     """Return the best conductance cut found by the Fiedler sweep heuristic.
 
@@ -95,33 +105,13 @@ def conductance_sweep(graph: nx.Graph) -> CheegerResult:
     The returned value is an upper bound on ``phi(G)``; by Cheeger's
     inequality it is within a quadratic factor of optimal.
     """
-    nodes = list(graph.nodes())
-    n = len(nodes)
+    n = graph.number_of_nodes()
     require(n >= 2, "conductance needs at least 2 nodes")
     if graph.number_of_edges() == 0 or not nx.is_connected(graph):
         # Any single component (or isolated vertex) is a zero-conductance cut.
-        components = list(nx.connected_components(graph))
-        smallest = min(components, key=lambda c: _volume(graph, set(c)))
-        if len(smallest) == n:
-            smallest = {next(iter(smallest))}
+        smallest = min(nx.connected_components(graph), key=lambda c: _volume(graph, c))
         return CheegerResult(0.0, frozenset(smallest), exact=False)
-    try:
-        fiedler = nx.fiedler_vector(graph, method="tracemin_lu", normalized=True)
-    except (nx.NetworkXError, np.linalg.LinAlgError):
-        fiedler = None
-    if fiedler is None:
-        order = nodes
-    else:
-        order = [node for _, node in sorted(zip(fiedler, nodes), key=lambda pair: pair[0])]
-    best_value = float("inf")
-    best_cut: frozenset[NodeId] = frozenset()
-    for size in range(1, n):
-        prefix = order[:size]
-        value = cheeger_constant_of_cut(graph, prefix)
-        if value < best_value:
-            best_value = value
-            best_cut = frozenset(prefix)
-    return CheegerResult(best_value, best_cut, exact=False)
+    return _sweep(graph, cut_arrays(graph))
 
 
 def cheeger_constant(
@@ -137,20 +127,14 @@ def cheeger_constant(
         return 0.0
     if n <= exact_limit:
         if n <= MAX_EXACT_NODES:
-            return _exact_cheeger(graph).value
+            return exact_minimum_cheeger_cut(graph)[0]
         # Exactness beyond the vectorized kernel's cap: brute force, not error.
         return exact_cheeger_reference(graph).value
-    best = conductance_sweep(graph).value
-    rng = SeededRng(seed)
-    nodes = list(graph.nodes())
-    for _ in range(samples):
-        size = rng.randint(1, max(1, n // 2))
-        cut = rng.sample(nodes, size)
-        best = min(best, cheeger_constant_of_cut(graph, cut))
+    arrays = cut_arrays(graph)
     # Singleton cuts are cheap and often tight on irregular graphs.
-    for node in nodes:
-        best = min(best, cheeger_constant_of_cut(graph, [node]))
-    return best
+    _, crossings, volumes = fixed_cut_counts(arrays, samples, seed)
+    fixed = crossings / np.minimum(volumes, arrays[3].sum() - volumes)
+    return min(_sweep(graph, arrays).value, float(fixed.min()))
 
 
 def cheeger_bounds_from_lambda(lambda_normalized: float) -> tuple[float, float]:

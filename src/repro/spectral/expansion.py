@@ -25,12 +25,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 import numpy as np
 
-from repro.perf.kernels import MAX_EXACT_NODES, exact_minimum_expansion_cut
+from repro.perf.kernels import (
+    MAX_EXACT_NODES,
+    cut_arrays,
+    exact_minimum_expansion_cut,
+    prefix_cut_counts,
+)
 from repro.util.ids import NodeId
 from repro.util.rng import SeededRng
 from repro.util.validation import require
@@ -78,12 +83,6 @@ def crossing_edges_of_cut(graph: nx.Graph, members: set[NodeId] | frozenset[Node
     return sum(1 for _, v in graph.edges(members) if v not in members)
 
 
-def _exact_minimum_cut(graph: nx.Graph) -> ExpansionResult:
-    """Exact minimum expansion cut via the vectorized Gray-code kernel."""
-    value, cut = exact_minimum_expansion_cut(graph)
-    return ExpansionResult(value, cut, exact=True)
-
-
 def exact_minimum_cut_reference(graph: nx.Graph) -> ExpansionResult:
     """Brute-force minimum expansion cut over all subsets of size <= n/2.
 
@@ -111,42 +110,31 @@ def exact_minimum_cut_reference(graph: nx.Graph) -> ExpansionResult:
     return ExpansionResult(best_value, best_cut, exact=True)
 
 
-def _fiedler_sweep_cut(graph: nx.Graph) -> list[frozenset[NodeId]]:
-    """Return the candidate sweep cuts ordered by the Fiedler vector.
-
-    The classic spectral-partitioning heuristic: sort vertices by their value
-    in the eigenvector associated with ``lambda_2`` and consider every prefix
-    of size at most ``n/2`` as a candidate cut.
-    """
-    nodes = list(graph.nodes())
-    n = len(nodes)
-    if n < 3 or graph.number_of_edges() == 0:
-        return [frozenset(nodes[: max(1, n // 2)])]
+def fiedler_order(graph: nx.Graph, normalized: bool = False) -> np.ndarray:
+    """Return node indices stably sorted by the Fiedler vector (node order if unsolvable)."""
+    # tracemin's start block comes from a fixed seed, not NumPy's global state,
+    # so the order is the same in every process even where lambda_2 repeats.
     try:
-        fiedler = nx.fiedler_vector(graph, method="tracemin_lu")
+        fiedler = nx.fiedler_vector(graph, normalized=normalized, method="tracemin_lu", seed=0)
     except (nx.NetworkXError, np.linalg.LinAlgError):
-        # Disconnected or numerically degenerate graph: fall back to component cut.
-        components = list(nx.connected_components(graph))
-        if len(components) > 1:
-            smallest = min(components, key=len)
-            return [frozenset(smallest)]
-        return [frozenset(nodes[: max(1, n // 2)])]
-    order = [node for _, node in sorted(zip(fiedler, nodes), key=lambda pair: pair[0])]
-    cuts = []
-    for size in range(1, n // 2 + 1):
-        cuts.append(frozenset(order[:size]))
-    return cuts
+        return np.arange(graph.number_of_nodes())
+    return np.argsort(fiedler, kind="stable")
 
 
-def _sampled_cuts(graph: nx.Graph, rng: SeededRng, samples: int) -> list[frozenset[NodeId]]:
-    """Return random candidate cuts (uniform sizes, uniform membership)."""
-    nodes = list(graph.nodes())
+def fixed_cut_counts(arrays, samples: int, seed: int):
+    """Return ``(cuts, crossings, volumes)`` of every singleton, then ``samples`` random cuts.
+
+    A random cut has a uniform size up to ``n/2`` and uniform node indices.
+    """
+    nodes, tails, heads, degrees = arrays
     n = len(nodes)
-    cuts = []
-    for _ in range(samples):
-        size = rng.randint(1, max(1, n // 2))
-        cuts.append(frozenset(rng.sample(nodes, size)))
-    return cuts
+    rng = SeededRng(seed)
+    drawn = [rng.sample(range(n), rng.randint(1, max(1, n // 2))) for _ in range(samples)]
+    counts = [prefix_cut_counts(cut, tails, heads, degrees) for cut in drawn]
+    loops = np.bincount(tails[tails == heads], minlength=n)
+    crossings = np.concatenate([degrees - 2 * loops, [c[-1] for c, _ in counts]])
+    volumes = np.concatenate([degrees, [v[-1] for _, v in counts]])
+    return [[i] for i in range(n)] + drawn, crossings, volumes
 
 
 def minimum_expansion_cut(
@@ -160,33 +148,28 @@ def minimum_expansion_cut(
     For graphs with at most ``exact_limit`` nodes the result is exact.  For
     larger graphs the returned value is an *upper bound* on ``h(G)`` obtained
     from the best of the Fiedler sweep cuts, singleton cuts and ``samples``
-    random cuts (``exact`` is ``False`` in that case).
+    random cuts, or 0 with the smallest component if disconnected (``exact``
+    is ``False`` in that case).
     """
     n = graph.number_of_nodes()
     require(n >= 2, "edge expansion needs at least 2 nodes")
     if n <= exact_limit:
         if n <= MAX_EXACT_NODES:
-            return _exact_minimum_cut(graph)
+            return ExpansionResult(*exact_minimum_expansion_cut(graph), exact=True)
         # Caller explicitly asked for exactness beyond the vectorized kernel's
         # cap: honour it with the (very slow) brute force rather than raising.
         return exact_minimum_cut_reference(graph)
-
-    candidates: list[frozenset[NodeId]] = []
-    candidates.extend(_fiedler_sweep_cut(graph))
-    # Singleton cuts catch pendant / low-degree vertices exactly.
-    candidates.extend(frozenset([node]) for node in graph.nodes())
-    candidates.extend(_sampled_cuts(graph, SeededRng(seed), samples))
-
-    best_value = float("inf")
-    best_cut: frozenset[NodeId] = frozenset()
-    for cut in candidates:
-        if not cut or len(cut) > n // 2:
-            continue
-        value = edge_expansion_of_cut(graph, cut)
-        if value < best_value:
-            best_value = value
-            best_cut = cut
-    return ExpansionResult(best_value, best_cut, exact=False)
+    if not nx.is_connected(graph):
+        smallest = min(nx.connected_components(graph), key=len)
+        return ExpansionResult(0.0, frozenset(smallest), exact=False)
+    arrays = cut_arrays(graph)
+    order = fiedler_order(graph)[: n // 2]
+    swept = prefix_cut_counts(order, *arrays[1:])[0] / np.arange(1, len(order) + 1)
+    cuts, crossings, _ = fixed_cut_counts(arrays, samples, seed)
+    values = np.concatenate([swept, crossings / [len(cut) for cut in cuts]])
+    pos = int(np.argmin(values))  # ties go to the sweep, then singletons, then samples
+    cut = order[: pos + 1] if pos < len(swept) else cuts[pos - len(swept)]
+    return ExpansionResult(float(values[pos]), frozenset(arrays[0][i] for i in cut), exact=False)
 
 
 def edge_expansion(

@@ -19,8 +19,6 @@ import warnings
 
 import networkx as nx
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.util.validation import require
 
@@ -61,6 +59,7 @@ def _second_smallest_pair(
        and the eigenvalues nearest the shift are still {0, lambda_2}.
     3. **Dense** ``eigh`` as the last resort.
     """
+    import scipy.sparse.linalg  # here, not at module level: ``import repro`` skips SciPy
     if nullspace is not None:
         operator = scipy.sparse.csr_matrix(matrix)
         if v0 is not None:
@@ -181,6 +180,7 @@ def normalized_laplacian_second_eigenvalue(
             return float(max(eigenvalues[1], 0.0)), eigenvectors[:, 1]
         spectrum = np.sort(nx.normalized_laplacian_spectrum(graph).real)
         return float(max(spectrum[1], 0.0))
+    import scipy.sparse
     normalized = scipy.sparse.csr_matrix(nx.normalized_laplacian_matrix(graph).astype(float))
     # The normalized Laplacian's null vector is D^{1/2} 1, not 1.
     null_vector = np.sqrt([max(degree, 1) for _, degree in graph.degree()])

@@ -326,6 +326,27 @@ def test_malformed_artifact_line_exits_two_naming_the_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_mistyped_artifact_spec_exits_two_naming_the_artifact_and_field(
+    spec_file, tmp_path, capsys, command
+):
+    directory = tmp_path / "dir"
+    artifact = directory / "0000-run.jsonl"
+    assert cli_main(["run", str(spec_file), "--artifact", str(artifact)]) == 0
+    capsys.readouterr()
+    lines = artifact.read_text().splitlines()
+    entry = json.loads(lines[0])
+    assert entry["kind"] == "spec"
+    entry["data"]["name"] = 5
+    lines[0] = json.dumps(entry)
+    artifact.write_text("\n".join(lines) + "\n")
+    target = artifact if command == "replay" else directory
+    assert cli_main([command, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"{artifact}:1: name must be" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "manifest, field",
     [
