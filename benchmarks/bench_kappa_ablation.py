@@ -1,7 +1,7 @@
 """Ablation — the effect of kappa (expander-cloud degree) on the guarantees.
 
-DESIGN.md calls kappa the main implementation-dependent parameter: the paper
-allows it to be a constant or Theta(log n).  Larger kappa gives denser clouds
+Kappa is the main implementation-dependent parameter: the paper allows it to
+be a constant or Theta(log n).  Larger kappa gives denser clouds
 (better expansion per cloud, higher w.h.p. confidence for the H-graph) at the
 cost of a proportionally larger degree increase and message volume.
 

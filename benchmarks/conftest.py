@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark reproduces one row of the per-experiment index in DESIGN.md
-(and records paper-vs-measured in EXPERIMENTS.md).  The pattern is:
+Every benchmark reproduces one claim of the paper, named in its module
+docstring.  The pattern is:
 
-* build the workload and adversary named in the index,
+* build the workload and adversary the claim names,
 * run the experiment(s) once inside ``benchmark.pedantic(..., rounds=1)`` so
-  pytest-benchmark reports the wall-clock cost of regenerating the row,
+  pytest-benchmark reports the wall-clock cost of reproducing the claim,
 * print the paper-style table/series so the captured ``bench_output.txt``
   contains the actual numbers being compared.
 """

@@ -11,7 +11,7 @@ play back deterministically.  Line schema::
 1-based timestep the event belonged to in the recording run.  Consecutive
 lines sharing a ``step`` value form one atomic batch on replay (a correlated
 domain kill stays a domain kill); lines without ``step`` replay one per
-timestep.
+timestep.  Each line is a :class:`~repro.scenarios.runner.ChurnEvent`.
 
 Encoding is canonical — sorted keys, compact separators, ``\\n`` line
 endings, trailing newline — so a trace's bytes are a pure function of its
@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.adversary.base import AdversaryEvent
-from repro.scenarios.runner import event_from_dict, event_to_dict
-from repro.util.validation import require
+from repro.scenarios.runner import ChurnEvent, event_to_dict
+from repro.util.validation import read_jsonl, require
 
 
 def encode_churn_line(event: AdversaryEvent, step: int | None = None) -> str:
@@ -72,31 +72,12 @@ def write_churn_trace(
 def read_churn_trace(path: str | Path) -> tuple[list[AdversaryEvent], list[int | None]]:
     """Parse a churn trace into ``(events, steps)`` (steps entries may be None).
 
-    Blank lines are ignored so hand-edited traces stay valid.  Every other
-    line must be an event object (see
-    :func:`~repro.scenarios.runner.event_from_dict`) with an optional
-    integer ``step``; a malformed line raises ``ValueError`` naming the path,
-    the line number and the field.
+    Blank lines are ignored so hand-edited traces stay valid; a malformed
+    line raises ``ValueError`` naming the path, the line number and the field.
     """
-    events: list[AdversaryEvent] = []
-    steps: list[int | None] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-            event = event_from_dict(data)
-            step = data.get("step")
-            require(
-                step is None or (isinstance(step, int) and not isinstance(step, bool)),
-                f"step must be an integer, got {step!r}",
-            )
-        except ValueError as exc:  # JSONDecodeError and ValidationError included
-            raise ValueError(f"{path}:{lineno}: malformed churn-trace line: {exc}") from exc
-        events.append(event)
-        steps.append(step)
-    return events, steps
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    parsed = list(read_jsonl(lines, path, ChurnEvent.from_dict))
+    return [line.event() for line in parsed], [line.step for line in parsed]
 
 
 def group_into_batches(

@@ -47,7 +47,6 @@ byte-identical to the one-shot report of the finished sweep.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import random
 import time
@@ -59,9 +58,11 @@ from repro.scenarios.spec import canonical_fingerprint
 from repro.scenarios.stream import (
     FAILURES_NAME,
     ROUNDS_NAME,
+    artifact_matches,
     index_paths,
     is_index_name,
     iter_index_entries,
+    read_failures,
     read_manifest,
     read_rounds,
 )
@@ -116,34 +117,6 @@ def scan_artifact_paths(directory: str | Path, allow_empty: bool = False) -> lis
         f"no run artifacts (*.jsonl / *.jsonl.gz) in {directory}",
     )
     return paths
-
-
-def read_failed_points(directory: str | Path) -> list[dict]:
-    """Return the directory's quarantined points, most authoritative first.
-
-    A finalized directory's ``MANIFEST.json`` ``failed`` section is the
-    verdict (it already excludes points that later succeeded); a still-
-    running or crashed directory falls back to the ``failures.jsonl``
-    ledger, last line per fingerprint winning.  Callers reading artifacts
-    should additionally drop entries whose fingerprint they saw succeed.
-    """
-    directory = Path(directory)
-    manifest = read_manifest(directory)
-    if manifest is not None:
-        return list(manifest.get("failed", []))
-    entries: dict[str, dict] = {}
-    for entry in iter_index_entries(directory / FAILURES_NAME):
-        fingerprint = entry.get("fingerprint")
-        if isinstance(fingerprint, str) and fingerprint:
-            entries[fingerprint] = entry
-    return sorted(
-        entries.values(),
-        key=lambda entry: (
-            not isinstance(entry.get("index"), int),
-            entry.get("index") if isinstance(entry.get("index"), int) else 0,
-            str(entry.get("label")),
-        ),
-    )
 
 
 def _cell(value) -> str:
@@ -433,10 +406,6 @@ def _replicate_section(groups: dict, ci: bool) -> str:
 # -- adaptive schedule --------------------------------------------------------
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _adaptive_section(rounds: list) -> str:
     """Render the per-round decision table replayed from ``rounds.jsonl``.
 
@@ -450,36 +419,25 @@ def _adaptive_section(rounds: list) -> str:
         "the recorded summary rows (never wall-clock), so resumed runs render\n"
         "this table identically.",
     ]
-    mode = rounds[0].get("mode")
-    if mode == "halving":
-        final = rounds[-1]
-        goal = "minimized" if final.get("minimize", True) else "maximized"
+    final = rounds[-1]
+    if final["mode"] == "halving":
+        goal = "minimized" if final["minimize"] else "maximized"
         parts.append(
-            f"Successive halving over `{final.get('axis')}` by "
-            f"`{final.get('objective')}` ({goal})."
+            f"Successive halving over `{final['axis']}` by "
+            f"`{final['objective']}` ({goal})."
         )
         rows = []
         for entry in rounds:
-            budget = entry.get("budget", {})
-            scores = entry.get("scores", [])
-            best = None
-            if scores and all(_is_number(score.get("score")) for score in scores):
-                sign = 1 if entry.get("minimize", True) else -1
-                order = sorted(
-                    range(len(scores)),
-                    key=lambda i: (sign * scores[i]["score"], i),
-                )
-                best = scores[order[0]].get("arm")
+            sign = 1 if entry["minimize"] else -1
+            best = min(entry["scores"], key=lambda score: sign * score["score"], default=None)
             rows.append(
                 {
-                    "round": entry.get("round"),
-                    "replicates": budget.get("replicates"),
-                    "timesteps": budget.get("timesteps"),
-                    "arms": ", ".join(_cell(score.get("arm")) for score in scores),
-                    "best": best,
-                    "survivors": ", ".join(
-                        _cell(arm) for arm in entry.get("survivors", [])
-                    ),
+                    "round": entry["round"],
+                    "replicates": entry["budget"]["replicates"],
+                    "timesteps": entry["budget"]["timesteps"],
+                    "arms": ", ".join(_cell(score["arm"]) for score in entry["scores"]),
+                    "best": best["arm"] if best else None,
+                    "survivors": ", ".join(_cell(arm) for arm in entry["survivors"]),
                 }
             )
         parts.append(
@@ -489,28 +447,22 @@ def _adaptive_section(rounds: list) -> str:
             )
         )
     else:
-        final = rounds[-1]
         parts.append(
-            f"Replicate stopping on `{final.get('metric')}` at target CI "
-            f"half-width {_cell(final.get('target_half_width'))}."
+            f"Replicate stopping on `{final['metric']}` at target CI "
+            f"half-width {_cell(final['target_half_width'])}."
         )
         rows = []
         for entry in rounds:
-            decisions = entry.get("decisions", [])
-            statuses = [decision.get("status") for decision in decisions]
-            halves = [
-                decision.get("half_width")
-                for decision in decisions
-                if _is_number(decision.get("half_width"))
-            ]
+            statuses = [decision["status"] for decision in entry["decisions"]]
+            halves = [decision["half_width"] for decision in entry["decisions"]]
             rows.append(
                 {
-                    "round": entry.get("round"),
-                    "active": len(decisions),
+                    "round": entry["round"],
+                    "active": len(statuses),
                     "converged": statuses.count("converged"),
                     "exhausted": statuses.count("exhausted"),
                     "continuing": statuses.count("continue"),
-                    "max half-width": max(halves) if halves else None,
+                    "max half-width": max(halves, default=None),
                 }
             )
         parts.append(
@@ -538,9 +490,9 @@ def _failed_section(failed: list) -> str:
     """Render the quarantined-point table for a degraded directory."""
     rows = [
         {
-            "point": entry.get("label") or str(entry.get("fingerprint", ""))[:12],
-            "attempts": entry.get("attempts"),
-            "error": entry.get("error"),
+            "point": entry["label"] or entry["fingerprint"][:12],
+            "attempts": entry["attempts"],
+            "error": entry["error"],
         }
         for entry in failed
     ]
@@ -666,7 +618,7 @@ def generate_report(
     aggregation.
     """
     directory = Path(directory)
-    failed_all = read_failed_points(directory)
+    failed_all = _quarantined(directory, read_manifest(directory))
     paths = scan_artifact_paths(directory, allow_empty=bool(failed_all))
     timeline_writer = None
     if out_dir is not None:
@@ -678,17 +630,26 @@ def generate_report(
     finally:
         if timeline_writer is not None:
             timeline_writer.close()
+    return _assemble(directory, points, failed_all, include_timeline, ci, timeline_writer)
+
+
+def _quarantined(directory: Path, manifest: dict | None) -> list[dict]:
+    """Return the quarantined points: a finalized manifest's verdict, else the ledger's."""
+    return manifest["failed"] if manifest else list(read_failures(directory).values())
+
+
+def _assemble(directory, points, failed_all, include_timeline, ci, timeline_writer):
+    """Render ``points``; with a ``timeline_writer``, write the tables beside its CSV."""
     # A point that failed on one attempt but later succeeded has an artifact;
     # its ledger lines are history, not a verdict.
     succeeded = {point.fingerprint for point in points}
-    failed = [entry for entry in failed_all if entry.get("fingerprint") not in succeeded]
+    failed = [entry for entry in failed_all if entry["fingerprint"] not in succeeded]
     axes, groups, markdown = _render(
         directory, points, include_timeline, ci, failed, read_rounds(directory)
     )
-
     written: list[Path] = []
-    if out_dir is not None:
-        written = _write_tables(out_dir, points, axes, groups, ci, markdown)
+    if timeline_writer is not None:
+        written = _write_tables(timeline_writer.path.parent, points, axes, groups, ci, markdown)
         if timeline_writer.rows:
             written.append(timeline_writer.path)
         else:
@@ -713,14 +674,13 @@ class ReportWatcher:
     across ``index.jsonl`` *and* every ``index-<worker>.jsonl`` shard an
     older fleet run wrote, discovering index files that appear mid-run as
     it goes; torn tails are carried per file to the next refresh, exactly
-    like the resume scan.  Every new entry's artifact
-    is verified with the same
-    hash/fingerprint machinery resume uses
-    (:meth:`~repro.scenarios.stream.SweepStream.completed`'s per-entry
-    check), reads each verified artifact once, and re-renders.  Snapshots
-    therefore match a one-shot :func:`generate_report` of the same partial
-    directory, and once ``MANIFEST.json`` appears the final output is
-    byte-identical to the one-shot report of the finished sweep.
+    like the resume scan.  Every new entry's artifact is verified with the
+    hash/fingerprint check resume uses
+    (:func:`~repro.scenarios.stream.artifact_matches`), read once, and
+    re-rendered.  Snapshots therefore match a one-shot
+    :func:`generate_report` of the same partial directory, and once
+    ``MANIFEST.json`` appears the final output is byte-identical to the
+    one-shot report of the finished sweep.
     """
 
     def __init__(
@@ -730,16 +690,13 @@ class ReportWatcher:
         include_timeline: bool = True,
         ci: bool = False,
     ):
-        from repro.scenarios.stream import SweepStream
-
         self.directory = Path(directory)
         require(self.directory.is_dir(), f"not a sweep directory: {self.directory}")
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.include_timeline = include_timeline
         self.ci = ci
         self.complete = False
-        self._stream = SweepStream(self.directory)
-        self._offsets: dict[str, int] = {}  # index filename -> consumed bytes
+        self._offsets: dict[str, tuple[int, int]] = {}  # index filename -> (bytes, lines) read
         self._retry: list[dict] = []
         self._cache: dict[str, PointSummary] = {}  # artifact name -> point
 
@@ -753,25 +710,16 @@ class ReportWatcher:
         """
         entries: list[dict] = []
         for index_path in index_paths(self.directory):
-            offset = self._offsets.get(index_path.name, 0)
+            offset, numbered = self._offsets.get(index_path.name, (0, 0))
             with index_path.open("rb") as handle:
                 handle.seek(offset)
                 chunk = handle.read()
             # Only consume whole lines; a torn tail write stays unconsumed
             # and is re-read (hopefully completed) on the next refresh.
-            cut = chunk.rfind(b"\n")
-            if cut < 0:
-                continue
-            self._offsets[index_path.name] = offset + cut + 1
-            for line in chunk[: cut + 1].splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(entry, dict) and entry.get("artifact"):
-                    entries.append(entry)
+            cut = chunk.rfind(b"\n") + 1
+            lines = chunk[:cut].splitlines()
+            self._offsets[index_path.name] = (offset + cut, numbered + len(lines))
+            entries.extend(iter_index_entries(index_path, lines, numbered + 1))
         return entries
 
     def _ingest(self, path: Path) -> None:
@@ -789,10 +737,10 @@ class ReportWatcher:
         """
         pending, self._retry = self._retry + self._new_index_entries(), []
         for entry in pending:
-            name = str(entry.get("artifact"))
+            name = entry["artifact"]
             if name in self._cache:
                 continue
-            if not self._stream._artifact_matches(entry):
+            if not artifact_matches(self.directory, entry):
                 # Recorded but not (yet) verifiable — e.g. a resume is about
                 # to overwrite a tampered artifact.  Try again next refresh.
                 self._retry.append(entry)
@@ -801,40 +749,26 @@ class ReportWatcher:
 
         manifest = read_manifest(self.directory)
         if manifest is not None:
-            manifest_entries = manifest["entries"]
-            order = [entry["artifact"] for entry in manifest_entries]
+            order = [entry["artifact"] for entry in manifest["entries"]]
             # A manifest can list points this watcher never saw land (they
             # were recorded before it attached); read the stragglers now —
             # through the same verification every indexed entry gets (the
             # manifest entry carries the sha256/fingerprint pair too).
-            for entry in manifest_entries:
+            for entry in manifest["entries"]:
                 name = entry["artifact"]
-                if name not in self._cache and self._stream._artifact_matches(entry):
+                if name not in self._cache and artifact_matches(self.directory, entry):
                     self._ingest(self.directory / name)
             names = [name for name in order if name in self._cache]
             self.complete = len(names) == len(order)
         else:
             names = sorted(self._cache)
-        failed_all = read_failed_points(self.directory)
+        failed_all = _quarantined(self.directory, manifest)
         if not names and not failed_all:
             return None
         points = [self._cache[name] for name in names]
-        succeeded = {point.fingerprint for point in points}
-        failed = [
-            entry for entry in failed_all if entry.get("fingerprint") not in succeeded
-        ]
-        axes, groups, markdown = _render(
-            self.directory,
-            points,
-            self.include_timeline,
-            self.ci,
-            failed,
-            read_rounds(self.directory),
-        )
-        written: list[Path] = []
+        timeline_writer = None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            written = _write_tables(self.out_dir, points, axes, groups, self.ci, markdown)
             timeline_writer = _TimelineCsv(self.out_dir / "timeline.csv")
             try:
                 for point in points:
@@ -842,17 +776,8 @@ class ReportWatcher:
                         timeline_writer.write_row(point.csv_label, row)
             finally:
                 timeline_writer.close()
-            if timeline_writer.rows:
-                written.append(timeline_writer.path)
-            else:
-                timeline_writer.path.unlink()
-        return SweepReport(
-            directory=self.directory,
-            points=points,
-            axes=axes,
-            markdown=markdown,
-            written=written,
-            failed=failed,
+        return _assemble(
+            self.directory, points, failed_all, self.include_timeline, self.ci, timeline_writer
         )
 
 

@@ -1,6 +1,6 @@
 """Ablation variants of Xheal for the design-choice benchmarks.
 
-DESIGN.md calls out two design choices worth quantifying:
+Two of Xheal's design choices are worth quantifying:
 
 * **secondary clouds + free nodes vs. always merging** — the free-node /
   secondary-cloud machinery exists purely to amortise the expensive

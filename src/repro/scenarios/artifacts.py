@@ -8,6 +8,10 @@ An artifact is one JSONL file describing one run completely::
     {"kind": "event",       "data": {...one trace event...}}    (0+ lines)
     {"kind": "cache_stats", "data": {...engine counters...}}
 
+Every line is an :class:`ArtifactLine`, and an event line's data a
+:class:`~repro.scenarios.runner.ChurnEvent` when it replays; a line that is
+not raises ``ValueError`` naming ``<path>:<line>`` and the field.
+
 The spec says *how* the run was produced; the event lines say *what* the
 adversary did.  Replay therefore does not need the original adversary at
 all: it compiles the spec and runs it through
@@ -52,9 +56,27 @@ GZIP_LEVEL = 6
 ARTIFACT_KINDS = ("spec", "summary", "timeline", "event", "cache_stats")
 
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.scenarios.runner import RunRecord
+from repro.scenarios.runner import ChurnEvent, RunRecord
 from repro.scenarios.spec import ScenarioSpec
-from repro.util.validation import require
+from repro.util.validation import Document, read_jsonl, require, require_in
+
+
+@dataclass(frozen=True)
+class ArtifactLine(Document):
+    """An artifact line: a ``kind`` from :data:`ARTIFACT_KINDS` and its ``data``.
+
+    A spec line's data must be a :class:`ScenarioSpec`, its errors naming the
+    field bare (``name must be a string``) as a spec file's do.
+    """
+
+    kind: str
+    data: dict
+
+    def validate(self) -> "ArtifactLine":
+        require_in(self.kind, ARTIFACT_KINDS, "kind")
+        if self.kind == "spec":
+            ScenarioSpec.from_dict(self.data)
+        return self
 
 
 def run_lines(record: RunRecord) -> list[str]:
@@ -141,66 +163,36 @@ def iter_artifact(path: str | Path):
     sweep directories one line at a time, so aggregate tables over thousands
     of points never hold more than one artifact's worth of rows.  Compressed
     artifacts are decompressed on the fly (see :func:`open_artifact`).
-    Every line must be a JSON object with a string ``kind``, the ``data`` of
-    each kind :func:`run_lines` writes an object and a spec line a valid
-    :class:`ScenarioSpec`; a line that is not raises ``ValueError("<path>:<line>: ...")``.
+    Every line must be an :class:`ArtifactLine`.
     """
     path = Path(path)
     with open_artifact(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{path}:{line_number}: not valid JSONL ({error})") from None
-            if not (isinstance(entry, dict) and isinstance(entry.get("kind"), str)):
-                raise ValueError(
-                    f"{path}:{line_number}: an artifact line must be a JSON object "
-                    f"with a string 'kind', got {line.strip()[:80]}"
-                )
-            kind, data = entry["kind"], entry.get("data")
-            if kind in ARTIFACT_KINDS and not isinstance(data, dict):
-                raise ValueError(
-                    f"{path}:{line_number}: {kind} data must be a JSON object, got {data!r}"
-                )
-            if kind == "spec":
-                try:
-                    ScenarioSpec.from_dict(data)
-                except ValueError as error:
-                    raise ValueError(f"{path}:{line_number}: {error}") from None
-            yield kind, data
+        for line in read_jsonl(handle, path, ArtifactLine.from_dict):
+            yield line.kind, line.data
 
 
 def load_run(path: str | Path) -> RunRecord:
-    """Read a JSONL artifact back into a :class:`RunRecord`."""
+    """Read a JSONL artifact back into a :class:`RunRecord` whose events replay."""
     path = Path(path)
-    spec_data = None
-    summary = None
-    timeline: list[dict] = []
-    trace: list[dict] = []
-    cache_stats: dict = {}
-    for kind, data in iter_artifact(path):
-        if kind == "spec":
-            spec_data = data
-        elif kind == "summary":
-            summary = data
-        elif kind == "timeline":
-            timeline.append(data)
-        elif kind == "event":
-            trace.append(data)
-        elif kind == "cache_stats":
-            cache_stats = data
-        else:
-            raise ValueError(f"{path}: unknown artifact line kind {kind!r}")
-    require(spec_data is not None, f"artifact {path} has no 'spec' line")
-    require(summary is not None, f"artifact {path} has no 'summary' line")
+
+    def parse(data) -> ArtifactLine:
+        line = ArtifactLine.from_dict(data)
+        if line.kind == "event":
+            ChurnEvent.from_dict(line.data).validate()
+        return line
+
+    lines: dict[str, list] = {kind: [] for kind in ARTIFACT_KINDS}
+    with open_artifact(path) as handle:
+        for line in read_jsonl(handle, path, parse):
+            lines[line.kind].append(line.data)
+    require(lines["spec"], f"artifact {path} has no 'spec' line")
+    require(lines["summary"], f"artifact {path} has no 'summary' line")
     return RunRecord(
-        spec=ScenarioSpec.from_dict(spec_data),
-        summary=summary,
-        timeline=timeline,
-        trace=trace,
-        cache_stats=cache_stats,
+        spec=ScenarioSpec.from_dict(lines["spec"][-1]),
+        summary=lines["summary"][-1],
+        timeline=lines["timeline"],
+        trace=lines["event"],
+        cache_stats=(lines["cache_stats"] or [{}])[-1],
     )
 
 

@@ -129,14 +129,10 @@ def _check_resume_replicates(resume_dir: Path, replicates: int) -> None:
     """
     from repro.scenarios.stream import iter_all_index_entries
 
-    recorded = [
-        entry.get("replicate")
-        for entry in iter_all_index_entries(Path(resume_dir))
-        if "replicate" in entry
-    ]
+    recorded = [entry["replicate"] for entry in iter_all_index_entries(Path(resume_dir))]
     if not recorded:
         return
-    ids = [value for value in recorded if isinstance(value, int)]
+    ids = [value for value in recorded if value is not None]
     if replicates == 1 and ids:
         raise ValueError(
             f"--resume {resume_dir} records replicate points (ids up to "
@@ -227,19 +223,15 @@ def _cmd_sweep_adaptive(args, sweep, policy, executor) -> int:
 
     def on_round(entry: dict) -> None:
         if entry["mode"] == "halving":
-            budget = entry.get("budget", {})
-            steps = (
-                f" timesteps={budget.get('timesteps')}"
-                if budget.get("timesteps")
-                else ""
-            )
+            budget = entry["budget"]
+            steps = f" timesteps={budget['timesteps']}" if budget["timesteps"] else ""
             print(
-                f"[round {entry['round']}] replicates={budget.get('replicates')}"
-                f"{steps} arms={len(entry.get('scores', []))} -> "
-                f"survivors={len(entry.get('survivors', []))}"
+                f"[round {entry['round']}] replicates={budget['replicates']}"
+                f"{steps} arms={len(entry['scores'])} -> "
+                f"survivors={len(entry['survivors'])}"
             )
         else:
-            statuses = [d.get("status") for d in entry.get("decisions", [])]
+            statuses = [decision["status"] for decision in entry["decisions"]]
             print(
                 f"[round {entry['round']}] active={len(statuses)} "
                 f"converged={statuses.count('converged')} "

@@ -44,7 +44,7 @@ from repro.adversary.base import AdversaryEvent, EventType
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.scenarios.policy import PointPolicy, PointScheduler
 from repro.scenarios.spec import ScenarioSpec
-from repro.util.validation import require
+from repro.util.validation import Document, require, require_in
 
 
 def event_to_dict(event: AdversaryEvent) -> dict:
@@ -56,35 +56,22 @@ def event_to_dict(event: AdversaryEvent) -> dict:
     }
 
 
-def _is_integer(value) -> bool:
-    """Return whether ``value`` is an ``int`` other than a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class ChurnEvent(Document):
+    """A churn-trace line, or an artifact ``event`` line's data (which has no ``step``)."""
 
+    type: str
+    node: int
+    neighbors: list[int] = field(default_factory=list)
+    step: int | None = None
 
-def event_from_dict(data: dict) -> AdversaryEvent:
-    """Rebuild an adversarial event from :func:`event_to_dict` output.
+    def validate(self) -> "ChurnEvent":
+        require_in(self.type, ("insert", "delete"), "type")
+        return self
 
-    Churn-trace files and artifact event lines both arrive here from outside
-    the program, so every field is checked: ``data`` must be a JSON object
-    whose ``type`` is ``insert`` or ``delete``, whose ``node`` is an integer
-    and whose ``neighbors`` (empty when absent) is a list of integers.
-    Anything else raises :class:`~repro.util.validation.ValidationError`
-    naming the field.
-    """
-    require(isinstance(data, dict), f"an event must be a JSON object, got {data!r}")
-    kind = data.get("type")
-    require(
-        kind in ("insert", "delete"),
-        f"type must be 'insert' or 'delete', got {kind!r}",
-    )
-    node = data.get("node")
-    require(_is_integer(node), f"node must be an integer, got {node!r}")
-    neighbors = data.get("neighbors", [])
-    require(
-        isinstance(neighbors, list) and all(_is_integer(n) for n in neighbors),
-        f"neighbors must be a list of integers, got {neighbors!r}",
-    )
-    return AdversaryEvent(type=EventType(kind), node=node, neighbors=tuple(neighbors))
+    def event(self) -> AdversaryEvent:
+        """Return the event this line records."""
+        return AdversaryEvent(EventType(self.type), self.node, tuple(self.neighbors))
 
 
 def timeline_rows(result: ExperimentResult) -> list[dict]:
@@ -130,7 +117,7 @@ class RunRecord:
 
     def events(self) -> list[AdversaryEvent]:
         """Return the recorded adversarial trace as event objects."""
-        return [event_from_dict(data) for data in self.trace]
+        return [ChurnEvent.from_dict(data).event() for data in self.trace]
 
     def to_dict(self) -> dict:
         """Return the record as one plain dict (see also the JSONL artifact)."""
@@ -437,6 +424,7 @@ def _run_streamed(
         StreamResult,
         SweepStream,
         order_most_expensive_first,
+        read_failures,
     )
 
     if resume is not None:
@@ -463,7 +451,7 @@ def _run_streamed(
         f"{[fp[:12] for fp in duplicated]}",
     )
     completed = stream.completed() if resume is not None else {}
-    failed_prior = stream.failed(exclude=completed) if resume is not None else {}
+    failed_prior = read_failures(stream.directory, exclude=completed) if resume is not None else {}
     orphans = set(completed) - set(fingerprints)
     if orphans:
         # Loud, not fatal: resuming with a *changed* grid (extended axes) is

@@ -17,9 +17,8 @@ Durability protocol, per finished point:
 1. the artifact is written to a hidden temp file, flushed and fsync'd,
 2. the temp file is atomically renamed to its final name (and the directory
    entry fsync'd), then
-3. an index line ``{"index", "fingerprint", "artifact", "label", "sha256",
-   "replicate", "wall_clock_s", "timesteps", "step_cost_s"}`` is appended to
-   ``index.jsonl`` and fsync'd.
+3. an index line (:class:`IndexEntry`) is appended to ``index.jsonl`` and
+   fsync'd.
 
 An index line therefore *implies* a complete artifact: a crash between (2)
 and (3) leaves a finished artifact that is simply re-run on resume — and
@@ -43,12 +42,15 @@ sorted filename order, lines in file order, *last write wins* per
 fingerprint.  Such a directory resumes and reports exactly like one with a
 single index.
 
+Every ledger line and ``MANIFEST.json`` parses through a ``Document`` class
+below and is returned as a dict holding every field; a torn ledger line is
+skipped, a line of the wrong shape refused naming ``<path>:<line>``.
+
 Resumption keys on :meth:`~repro.scenarios.spec.ScenarioSpec.fingerprint`
 (canonical-JSON SHA-256): a point is skipped iff its fingerprint appears in
 the merged index *and* its artifact file is still present with exactly the
-recorded bytes (the index line also carries a whole-file SHA-256).  Torn
-tail writes in any index file (a crash mid-append) are tolerated.  The recorded
-wall-clock costs feed :func:`order_most_expensive_first`, which lets a
+recorded bytes (the index line also carries a whole-file SHA-256).  The
+recorded wall-clock costs feed :func:`order_most_expensive_first`, which lets a
 resume schedule its missing points longest-first so parallel stragglers
 finish sooner.
 """
@@ -61,17 +63,138 @@ import math
 import os
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.scenarios.artifacts import artifact_name, maybe_decompress, run_bytes
 from repro.scenarios.runner import RunRecord
 from repro.scenarios.spec import canonical_fingerprint
 from repro.scenarios.sweep import flatten_dotted, split_replicate
-from repro.util.validation import require
+from repro.util.validation import Document, read_jsonl, require, require_in
 
 INDEX_NAME = "index.jsonl"
 MANIFEST_NAME = "MANIFEST.json"
+
+
+# -- line records ---------------------------------------------------------------
+
+
+def _require_bare_name(name: str, field_name: str) -> None:
+    """Require an artifact name that stays inside its sweep directory."""
+    bare = name not in ("", ".", "..") and Path(name).name == name
+    require(bare, f"{field_name} must be a bare file name, got {name!r}")
+
+
+@dataclass(frozen=True)
+class IndexEntry(Document):
+    """An ``index.jsonl`` line or ``MANIFEST.json`` entry; older ones lack later columns."""
+
+    artifact: str
+    index: int | None = None
+    fingerprint: str | None = None
+    label: str | None = None
+    sha256: str | None = None
+    replicate: int | None = None
+    timesteps: int | None = None
+    wall_clock_s: object = None
+    step_cost_s: object = None
+
+    def validate(self) -> "IndexEntry":
+        _require_bare_name(self.artifact, "artifact")
+        return self
+
+
+@dataclass(frozen=True)
+class FailureEntry(Document):
+    """A ``failures.jsonl`` line or an entry of the manifest's ``failed`` section."""
+
+    fingerprint: str
+    index: int
+    label: str | None = None
+    attempts: int | None = None
+    error: str | None = None
+    wall_clock: float | None = None
+
+
+@dataclass(frozen=True)
+class Manifest(Document):
+    """``MANIFEST.json``: a finished sweep's points in submission order."""
+
+    entries: list[IndexEntry]
+    points: int | None = None
+    compressed: bool | None = None
+    failed: list[FailureEntry] = field(default_factory=list)
+
+    def validate(self) -> "Manifest":
+        for i, entry in enumerate(self.entries):
+            _require_bare_name(entry.artifact, f"entries[{i}].artifact")
+        return self
+
+
+@dataclass(frozen=True)
+class HalvingBudget(Document):
+    """A halving round's replicates and timesteps per point."""
+
+    replicates: int | None = None
+    timesteps: int | None = None
+
+
+@dataclass(frozen=True)
+class ArmScore(Document):
+    """One arm's mean objective in a halving round; ``arm`` is its axis value."""
+
+    arm: object
+    score: float
+    points: int | None = None
+
+
+@dataclass(frozen=True)
+class StopDecision(Document):
+    """One base point's verdict in a replicate-stopping round."""
+
+    status: str
+    half_width: float
+    point: str | None = None
+    replicates: int | None = None
+    mean: float | None = None
+    ci_low: float | None = None
+    ci_high: float | None = None
+
+
+@dataclass(frozen=True)
+class AdaptiveRound(Document):
+    """A ``rounds.jsonl`` line: a successive-halving or replicate-stopping round.
+
+    A halving round fills ``axis`` through ``survivors``, a stopping round
+    ``metric`` through ``decisions``; the rest keep their defaults.
+    """
+
+    round: int
+    mode: str
+    axis: str | None = None
+    objective: str | None = None
+    minimize: bool = True
+    budget: HalvingBudget = HalvingBudget()
+    scores: list[ArmScore] = field(default_factory=list)
+    survivors: list = field(default_factory=list)
+    metric: str | None = None
+    target_half_width: float | None = None
+    decisions: list[StopDecision] = field(default_factory=list)
+
+    def validate(self) -> "AdaptiveRound":
+        require_in(self.mode, ("halving", "stopping"), "mode")
+        return self
+
+
+def _read_ledger(path: Path, parse, lines=None, start: int = 1):
+    """Yield a ledger's entries as dicts, skipping torn (unparseable) lines.
+
+    ``lines``, when given, is a slice of the file whose first line is ``start``.
+    """
+    if lines is None:
+        lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    for entry in read_jsonl(lines, path, parse, skip_unparseable=True, start=start):
+        yield entry.to_dict()
 
 
 def is_index_name(name: str) -> bool:
@@ -115,44 +238,22 @@ def iter_all_index_entries(directory: Path):
 
 
 def read_manifest(directory: Path) -> dict | None:
-    """Return the directory's ``MANIFEST.json``, or ``None`` when it has none.
+    """Return the directory's :class:`Manifest` as a dict, or ``None`` when it has none.
 
-    The one manifest reader, so every consumer may index into what it
-    returns: an object whose ``entries`` is a list of objects, each with a
-    string ``artifact`` and ``fingerprint``, and whose ``failed``, when
-    present, is a list of objects.  Anything else raises ``ValueError``
-    naming the path and the field.
+    A malformed manifest raises ``ValueError`` naming the path and the field.
     """
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         return None
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path}: not valid JSON ({error})") from None
-    require(isinstance(manifest, dict), f"{path}: must be a JSON object, got {manifest!r}")
-    entries = manifest.get("entries")
-    require(isinstance(entries, list), f"{path}: entries must be a list, got {entries!r}")
-    for i, entry in enumerate(entries):
-        require(isinstance(entry, dict), f"{path}: entries[{i}] must be a JSON object, got {entry!r}")
-        for key in ("artifact", "fingerprint"):
-            require(
-                isinstance(entry.get(key), str),
-                f"{path}: entries[{i}].{key} must be a string, got {entry.get(key)!r}",
-            )
-    failed = manifest.get("failed", [])
-    require(
-        isinstance(failed, list) and all(isinstance(entry, dict) for entry in failed),
-        f"{path}: failed must be a list of JSON objects, got {failed!r}",
-    )
-    return manifest
+        return Manifest.from_json(path.read_text(encoding="utf-8")).validate().to_dict()
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
-#: Append-only adaptive-round ledger (``rounds.jsonl``): one fsync'd line per
-#: completed adaptive round, recording the round's budget and its decisions
-#: (survivors, converged/exhausted points).  Written by
-#: :mod:`repro.scenarios.adaptive`; contains no timing data, so interrupted
-#: and uninterrupted adaptive runs produce byte-identical ledgers.
+#: Append-only adaptive-round ledger: one fsync'd :class:`AdaptiveRound` line
+#: per completed round, written by :mod:`repro.scenarios.adaptive`.  It holds
+#: no timing data, so interrupted and uninterrupted runs write the same bytes.
 ROUNDS_NAME = "rounds.jsonl"
 
 
@@ -164,11 +265,11 @@ def rounds_path(directory: Path) -> Path:
 def read_rounds(directory: Path) -> list[dict]:
     """Return the round ledger's entries in append (= round) order.
 
-    Torn tails and unparseable lines are tolerated exactly like the index
-    scan — a crash mid-append loses at most the line being written, and the
-    resumed driver re-derives and re-appends it.
+    Torn tails are skipped like the index scan's: a crash mid-append loses
+    at most the line being written, and the resumed driver re-derives and
+    re-appends it.
     """
-    return list(iter_index_entries(rounds_path(directory)))
+    return list(_read_ledger(rounds_path(directory), AdaptiveRound.from_dict))
 
 
 def record_round(directory: Path, entry: dict) -> dict:
@@ -181,20 +282,17 @@ def record_round(directory: Path, entry: dict) -> dict:
     directory was produced under a different adaptive configuration (or
     edited), and refusing loudly beats silently forking the schedule.
     """
-    require(
-        isinstance(entry.get("round"), int) and not isinstance(entry.get("round"), bool),
-        "a round entry must carry an integer 'round' number",
-    )
     # Compare through a JSON round-trip so the in-memory entry and its
     # recorded line are held to the same representation (tuples vs lists,
     # float formatting).
     canonical = json.loads(json.dumps(entry, sort_keys=True))
+    parsed = AdaptiveRound.from_dict(canonical).validate().to_dict()
     for recorded in read_rounds(directory):
-        if recorded.get("round") == entry["round"]:
+        if recorded["round"] == parsed["round"]:
             require(
-                recorded == canonical,
+                recorded == parsed,
                 f"{rounds_path(directory)} already records round "
-                f"{entry['round']} with a different decision; this directory "
+                f"{parsed['round']} with a different decision; this directory "
                 f"was produced under a different adaptive configuration — "
                 f"refusing to diverge from its recorded schedule",
             )
@@ -207,12 +305,26 @@ def record_round(directory: Path, entry: dict) -> dict:
     return canonical
 
 
-#: Append-only quarantine ledger: one fsync'd line per point that exhausted
-#: its retry budget (fingerprint, attempts, exception repr, wall clock).
-#: A later successful record of the same fingerprint supersedes its failure
-#: lines — the ledger is history, ``MANIFEST.json``'s ``failed`` section is
-#: the current verdict.
+#: Append-only quarantine ledger: one fsync'd :class:`FailureEntry` line per
+#: point that exhausted its retry budget.  A later successful record of the
+#: same fingerprint supersedes its failure lines — the ledger is history,
+#: ``MANIFEST.json``'s ``failed`` section is the current verdict.
 FAILURES_NAME = "failures.jsonl"
+
+
+def read_failures(directory: Path, exclude=()) -> dict:
+    """Return ``fingerprint -> ledger entry`` for every quarantined point, in index order.
+
+    The *last* ``failures.jsonl`` line per fingerprint wins (a point retried
+    and re-quarantined across resumes keeps its freshest attempt count).
+    Fingerprints in ``exclude`` — typically :meth:`SweepStream.completed`'s
+    map — are dropped: a recorded success supersedes any earlier failure.
+    """
+    path = Path(directory) / FAILURES_NAME
+    entries = {entry["fingerprint"]: entry for entry in _read_ledger(path, FailureEntry.from_dict)}
+    order = sorted(entries, key=lambda fp: (entries[fp]["index"], entries[fp]["label"] or ""))
+    return {fp: entries[fp] for fp in order if fp not in exclude}
+
 
 #: Per-entry manifest/index columns that record observed execution cost.
 #: They are the only nondeterministic bytes a finished sweep directory
@@ -236,23 +348,9 @@ def strip_costs(manifest: dict) -> dict:
     }
 
 
-def iter_index_entries(index_path: Path):
-    """Yield the parseable dict entries of an ``index.jsonl`` file.
-
-    Blank lines, torn tail writes and non-dict lines are skipped — the same
-    tolerance the resume scan applies.
-    """
-    if not index_path.exists():
-        return
-    for line in index_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(entry, dict):
-            yield entry
+def iter_index_entries(index_path: Path, lines=None, start: int = 1):
+    """Yield an index file's entries as :class:`IndexEntry` dicts, skipping torn lines."""
+    yield from _read_ledger(index_path, IndexEntry.from_dict, lines, start)
 
 
 def detect_compression(directory: Path) -> bool | None:
@@ -265,9 +363,7 @@ def detect_compression(directory: Path) -> bool | None:
     """
     directory = Path(directory)
     for entry in iter_all_index_entries(directory):
-        artifact = entry.get("artifact")
-        if isinstance(artifact, str) and artifact:
-            return artifact.endswith(".gz")
+        return entry["artifact"].endswith(".gz")
     has_gz = any(directory.glob("[0-9]*.jsonl.gz"))
     has_plain = any(directory.glob("[0-9]*.jsonl"))
     # With no index verdict, a directory holding BOTH encodings is ambiguous;
@@ -283,6 +379,29 @@ def detect_compression(directory: Path) -> bool | None:
     if has_plain:
         return False
     return None
+
+
+def artifact_matches(directory: Path, entry: dict) -> bool:
+    """Verify an index or manifest entry's artifact exists with exactly the recorded bytes.
+
+    The whole-file hash catches tampering anywhere in the artifact, not
+    just the spec line; the spec-line fingerprint check additionally ties
+    the file to the *point* (a foreign artifact renamed into place fails
+    even if internally consistent).
+    """
+    artifact = Path(directory) / entry["artifact"]
+    if not artifact.is_file():
+        return False
+    try:
+        data = artifact.read_bytes()
+        first = json.loads(maybe_decompress(data).split(b"\n", 1)[0])
+    except (OSError, EOFError, zlib.error, json.JSONDecodeError):
+        # OSError covers unreadable files and bad gzip headers; EOFError/
+        # zlib.error cover a truncated or corrupted compressed stream.
+        return False
+    if hashlib.sha256(data).hexdigest() != entry["sha256"] or first.get("kind") != "spec":
+        return False
+    return canonical_fingerprint(first.get("data", {})) == entry["fingerprint"]
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -507,64 +626,19 @@ class SweepStream:
     def completed(self) -> dict:
         """Return ``fingerprint -> index entry`` for every verified point.
 
-        A point counts as completed only if its index line parses, its
-        artifact file exists with the recorded whole-file SHA-256, and the
-        artifact's first (spec) line fingerprints to the index entry's
-        fingerprint — so deleting or tampering with an artifact (any line of
-        it) re-runs exactly that point.  Unparseable index lines (torn tail
-        writes from a crash) are ignored.  The scan merges ``index.jsonl``
-        with any older worker shard (:func:`iter_all_index_entries`), the last
-        verified entry per fingerprint winning deterministically.
+        A point counts as completed only if its index line parses and its
+        artifact passes :func:`artifact_matches` — so deleting or tampering
+        with an artifact (any line of it) re-runs exactly that point.  Torn
+        index lines (from a crash) are ignored.  The scan merges
+        ``index.jsonl`` with any older worker shard
+        (:func:`iter_all_index_entries`), the last verified entry per
+        fingerprint winning deterministically.
         """
-        entries: dict[str, dict] = {}
-        for entry in iter_all_index_entries(self.directory):
-            if "fingerprint" not in entry:
-                continue
-            if self._artifact_matches(entry):
-                entries[entry["fingerprint"]] = entry
-        return entries
-
-    def _artifact_matches(self, entry: dict) -> bool:
-        """Verify the entry's artifact exists with exactly the recorded bytes.
-
-        The whole-file hash catches tampering anywhere in the artifact, not
-        just the spec line; the spec-line fingerprint check additionally ties
-        the file to the *point* (a foreign artifact renamed into place fails
-        even if internally consistent).
-        """
-        artifact = self.directory / str(entry.get("artifact", ""))
-        if not artifact.is_file():
-            return False
-        try:
-            data = artifact.read_bytes()
-            first = json.loads(maybe_decompress(data).split(b"\n", 1)[0])
-        except (OSError, EOFError, zlib.error, json.JSONDecodeError):
-            # OSError covers unreadable files and bad gzip headers; EOFError/
-            # zlib.error cover a truncated or corrupted compressed stream.
-            return False
-        if hashlib.sha256(data).hexdigest() != entry.get("sha256"):
-            return False
-        if first.get("kind") != "spec":
-            return False
-        return canonical_fingerprint(first.get("data", {})) == entry["fingerprint"]
-
-    def failed(self, exclude: dict | None = None) -> dict:
-        """Return ``fingerprint -> ledger entry`` for every quarantined point.
-
-        Scans ``failures.jsonl`` with the same torn-tail tolerance the index
-        scan applies; the *last* line per fingerprint wins (a point retried
-        and re-quarantined across resumes keeps its freshest attempt count).
-        Fingerprints in ``exclude`` — typically :meth:`completed`'s map —
-        are dropped: a recorded success supersedes any earlier failure.
-        """
-        entries: dict[str, dict] = {}
-        for entry in iter_index_entries(self.failures_path):
-            fingerprint = entry.get("fingerprint")
-            if isinstance(fingerprint, str) and fingerprint:
-                entries[fingerprint] = entry
-        for fingerprint in exclude or ():
-            entries.pop(fingerprint, None)
-        return entries
+        return {
+            entry["fingerprint"]: entry
+            for entry in iter_all_index_entries(self.directory)
+            if artifact_matches(self.directory, entry)
+        }
 
     # -- finishing ------------------------------------------------------------
 
@@ -585,7 +659,7 @@ class SweepStream:
         ``verified`` is the ``fingerprint -> entry`` map of pre-existing
         points already checked by :meth:`completed` (the resume path passes
         the map it scanned before executing); ``failed`` is the carried-over
-        quarantine map from :meth:`failed`.  Entries recorded or quarantined
+        quarantine map from :func:`read_failures`.  Entries recorded or quarantined
         by this stream object are trusted as-is and win over carried maps;
         a success always supersedes a failure.  When ``verified`` is
         omitted the directory is scanned — only then does finalizing

@@ -4,15 +4,17 @@ The public API of the library validates its inputs eagerly and raises
 :class:`ValidationError` with an explicit message rather than failing deep
 inside a simulation with an obscure networkx error.
 
-Every JSON document the library reads — a scenario or sweep spec, a sweep's
-``policy`` and ``adaptive`` blocks, the ``REPRO_CHAOS`` fault schedule — is a
-frozen dataclass deriving from :class:`Document`, whose field annotations
-are the schema: :meth:`Document.from_dict` refuses unknown and missing keys
-and type-checks every field, nested documents included, naming the dotted
-field (``policy.timeout_s must be a finite number or null, got '5'``);
-:meth:`Document.to_dict` writes the document back as fresh JSON-native
-containers.  Each class's own ``validate()`` then checks only its own
-rules (ranges, cross-field agreement, registry names).
+Every JSON document and JSONL line the library reads — specs, their
+``policy`` and ``adaptive`` blocks, the ``REPRO_CHAOS`` fault schedule,
+churn-trace and artifact lines, a sweep directory's ledgers and manifest —
+is a frozen dataclass deriving from :class:`Document`, whose field
+annotations are the schema: :meth:`Document.from_dict` refuses missing and
+unknown keys and type-checks every field, nested documents and list elements
+included, naming the dotted field (``scores[0].score must be a finite
+number, got '5'``); :meth:`Document.to_dict` writes the document back as
+fresh JSON-native containers.  Each class's own ``validate()`` then checks
+only its own rules (ranges, cross-field agreement, registry names), and
+:func:`read_jsonl` prefixes a JSONL line's errors with ``<path>:<line>``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def require_in(value, options, name: str) -> None:
 #: Field annotation -> (accepted Python types, its name in error messages).
 #: ``bool`` is an ``int`` subclass but never a valid count, number or name;
 #: a number is finite (``json`` parses ``NaN`` and ``Infinity``, JSON has
-#: neither).
+#: neither).  ``object`` is any value, for the fields no reader trusts.
 _SCALARS = {
     "str": (str, "a string"),
     "int": (int, "an integer"),
@@ -71,6 +73,7 @@ _SCALARS = {
     "bool": (bool, "a boolean"),
     "dict": (dict, "a JSON object"),
     "list": (list, "a JSON array"),
+    "object": (object, "any JSON value"),
 }
 
 #: Every :class:`Document` subclass by name, so an annotation can nest one.
@@ -82,9 +85,20 @@ class _Field(NamedTuple):
 
     types: type | tuple
     expected: str  # "an integer or null"
-    optional: bool
-    required: bool
-    document: type | None  # the nested document class, if any
+    optional: bool = False
+    required: bool = False
+    document: type | None = None  # the nested document class, if any
+    element: "_Field | None" = None  # the element schema of a ``list[...]``
+
+
+def _kind(kind: str) -> _Field:
+    """Return the schema of one annotation (without ``| None``)."""
+    if kind.startswith("list["):
+        return _Field(list, "a JSON array", element=_kind(kind[5:-1]))
+    document = _DOCUMENTS.get(kind)
+    if document is not None:
+        return _Field(document, "a JSON object", document=document)
+    return _Field(*_SCALARS[kind])
 
 
 @cache
@@ -93,17 +107,40 @@ def _schema(cls) -> dict[str, _Field]:
     schema = {}
     for spec_field in fields(cls):
         kind, _, optional = spec_field.type.partition(" | ")
-        document = _DOCUMENTS.get(kind)
-        types, expected = (document, "a JSON object") if document else _SCALARS[kind]
-        schema[spec_field.name] = _Field(
-            types=types,
-            expected=expected + (" or null" if optional else ""),
+        field_schema = _kind(kind)
+        schema[spec_field.name] = field_schema._replace(
+            expected=field_schema.expected + (" or null" if optional else ""),
             optional=bool(optional),
             required=spec_field.name in cls._required
             or (spec_field.default is MISSING and spec_field.default_factory is MISSING),
-            document=document,
         )
     return schema
+
+
+def _nest(value, spec: _Field, path: str, name):
+    """Parse the documents nested in ``value``, leaving a mistyped one to :func:`_check`."""
+    if spec.document is not None and isinstance(value, dict):
+        return spec.document.from_dict(value, f"{path}{name}.")
+    if spec.element is not None and isinstance(value, list):
+        return [_nest(item, spec.element, path, f"{name}[{i}]") for i, item in enumerate(value)]
+    return value
+
+
+def _check(value, spec: _Field, path: str, name) -> None:
+    """Require ``value`` to have the annotated type, list elements included."""
+    # Not ``require``: the message is formatted only on failure, and this
+    # runs for every field of every point of a sweep.
+    if spec.types is object or (value is None and spec.optional):
+        return
+    if (
+        not isinstance(value, spec.types)
+        or (isinstance(value, bool) and spec.types is not bool)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise ValidationError(f"{path}{name} must be {spec.expected}, got {value!r}")
+    if spec.element is not None:
+        for i, item in enumerate(value):
+            _check(item, spec.element, path, f"{name}[{i}]")
 
 
 def _plain(value):
@@ -122,8 +159,9 @@ class Document:
 
     A subclass's field annotations are its schema: ``str``, ``int`` (never a
     ``bool``), ``float`` (finite; an ``int`` too), ``bool``, ``dict``,
-    ``list`` or the name of another document class (a nested JSON object),
-    each optionally ``| None``.  Fields without a default, and those named in
+    ``list``, ``object`` (any JSON value), the name of another document
+    class (a nested JSON object) or ``list[<any of these>]``, each
+    optionally ``| None``.  Fields without a default, and those named in
     ``_required``, must be present in a parsed document; fields named in
     ``_omit_none`` are left out of :meth:`to_dict` while ``None``, so
     documents written before the field existed keep their bytes and
@@ -141,46 +179,37 @@ class Document:
     def from_dict(cls, data, path: str = ""):
         """Build a document from a parsed JSON object, checking every field.
 
-        Unknown and missing keys are refused, and every field must have its
+        Missing and unknown keys are refused, and every field must have its
         annotated type; errors name the field by its dotted path from the
         outermost document (``path`` is the prefix of a nested one, such as
-        ``"adaptive.halving."``).  Defaults come from the dataclass.
+        ``"adaptive.halving."`` or ``"entries[2]."``).  Defaults come from
+        the dataclass.
         """
         if not isinstance(data, dict):
             raise ValidationError(f"a {cls.__name__} must be a JSON object, got {data!r}")
         schema = _schema(cls)
-        unknown = sorted(set(data) - set(schema))
+        missing = [path + name for name, spec in schema.items() if spec.required and name not in data]
+        if missing:
+            raise ValidationError(f"{cls.__name__} requires {', '.join(map(repr, missing))}")
+        unknown = sorted(path + name for name in set(data) - set(schema))
         if unknown:
             raise ValidationError(
                 f"unknown {cls.__name__} fields {unknown}; known fields: {sorted(schema)}"
             )
-        missing = [path + name for name, spec in schema.items() if spec.required and name not in data]
-        if missing:
-            raise ValidationError(f"{cls.__name__} requires {', '.join(map(repr, missing))}")
-        values = {}
-        for name, value in data.items():
-            nested = schema[name].document
-            if nested is not None and isinstance(value, dict):
-                value = nested.from_dict(value, f"{path}{name}.")
-            values[name] = value
-        document = cls(**values)
+        document = cls(
+            **{name: _nest(value, schema[name], path, name) for name, value in data.items()}
+        )
         document.check_types(path)
         return document
 
     def check_types(self, path: str = "") -> None:
         """Require every field to hold its annotated type (nested documents by class)."""
-        # Not ``require``: the message is formatted only on failure, and this
-        # runs for every point of a sweep.
         for name, spec in _schema(type(self)).items():
-            value = getattr(self, name)
-            if value is None and spec.optional:
-                continue
-            if (
-                not isinstance(value, spec.types)
-                or (isinstance(value, bool) and spec.types is not bool)
-                or (isinstance(value, float) and not math.isfinite(value))
-            ):
-                raise ValidationError(f"{path}{name} must be {spec.expected}, got {value!r}")
+            _check(getattr(self, name), spec, path, name)
+
+    def validate(self):
+        """Check the rules beyond field types (a subclass adds its own); return self."""
+        return self
 
     def to_dict(self) -> dict:
         """Return the document as fresh JSON-native containers (stable schema)."""
@@ -198,3 +227,22 @@ class Document:
     def from_json(cls, text: str):
         """Parse :meth:`to_json` output (or any JSON object) back to a document."""
         return cls.from_dict(json.loads(text))
+
+
+def read_jsonl(lines, source, parse, skip_unparseable: bool = False, start: int = 1):
+    """Yield ``parse(obj).validate()`` for every non-blank line of a JSONL file.
+
+    ``source`` names the file and ``start`` numbers its first line.  A line
+    that is not JSON is skipped with ``skip_unparseable`` (a ledger's torn
+    tail); otherwise it, and any line of the wrong shape, raises
+    ``ValueError("<source>:<line>: ...")``.
+    """
+    for number, line in enumerate(lines, start):
+        try:
+            if line.strip():
+                yield parse(json.loads(line)).validate()
+        except json.JSONDecodeError as error:
+            if not skip_unparseable:
+                raise ValueError(f"{source}:{number}: not valid JSONL ({error})") from None
+        except ValueError as error:  # ValidationError included
+            raise ValueError(f"{source}:{number}: {error}") from None

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import copy
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.scenarios import ScenarioSpec, SweepSpec, run_scenarios
+from repro.scenarios.adaptive import AdaptiveSpec, HalvingSchedule, run_adaptive
 from repro.scenarios.cli import main as cli_main
+from repro.scenarios.stream import FAILURES_NAME, INDEX_NAME, MANIFEST_NAME, ROUNDS_NAME
 
 BASE = ScenarioSpec(
     name="cli-test",
@@ -529,3 +532,124 @@ def test_sweep_explicit_executor_runs_to_completion(sweep_file, tmp_path, capsys
     )
     assert code == 0
     assert "executed 2" in capsys.readouterr().out
+
+
+# -- line records: a wrong shape exits 2 naming <path>:<line> and the field ----
+
+
+HALVING_SWEEP = SweepSpec(
+    base=BASE,
+    axes={"healer_kwargs.kappa": [2, 4]},
+    adaptive=AdaptiveSpec(
+        halving=HalvingSchedule(
+            axis="healer_kwargs.kappa", objective="amortized_msgs", timesteps=2
+        )
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def streamed(tmp_path_factory) -> dict:
+    """A finished plain sweep and a finished halving sweep; tests edit copies."""
+    root = tmp_path_factory.mktemp("streamed")
+    run_scenarios(SWEEP.expand(), stream_to=root / "plain")
+    run_adaptive(HALVING_SWEEP, root / "halving")
+    return {"plain": root / "plain", "halving": root / "halving"}
+
+
+def _edit_line(path: Path, number: int, edit) -> None:
+    """Apply ``edit`` to the parsed JSON of line ``number`` (1-based) of ``path``."""
+    lines = path.read_text().splitlines()
+    entry = json.loads(lines[number - 1])
+    edit(entry)
+    lines[number - 1] = json.dumps(entry, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _refused(capsys, argv: list, location, field: str) -> None:
+    """Require ``repro <argv>`` to exit 2 naming ``location`` and ``field``."""
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{location}: " in err and field in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("scores", 5, "scores must be a JSON array"),
+        ("budget", 5, "budget must be a JSON object"),
+        ("survivors", 5, "survivors must be a JSON array"),
+        ("scores", [5], "scores[0] must be a JSON object"),
+    ],
+    ids=["scores-int", "budget-int", "survivors-int", "score-int"],
+)
+def test_report_refuses_a_mistyped_rounds_line(streamed, tmp_path, capsys, key, value, field):
+    directory = shutil.copytree(streamed["halving"], tmp_path / "dir")
+    _edit_line(directory / ROUNDS_NAME, 1, lambda entry: entry.update({key: value}))
+    _refused(capsys, ["report", str(directory)], f"{directory / ROUNDS_NAME}:1", field)
+
+
+def test_report_refuses_a_mistyped_failures_line(streamed, tmp_path, capsys):
+    directory = shutil.copytree(streamed["plain"], tmp_path / "dir")
+    (directory / MANIFEST_NAME).unlink()  # without it the report reads the ledger
+    (directory / FAILURES_NAME).write_text('{"fingerprint": "f", "index": "0"}\n')
+    _refused(capsys, ["report", str(directory)], f"{directory / FAILURES_NAME}:1", "index must be")
+
+
+@pytest.mark.parametrize("command", ["resume", "watch"])
+def test_a_mistyped_index_line_is_refused(streamed, sweep_file, tmp_path, capsys, command):
+    directory = shutil.copytree(streamed["plain"], tmp_path / "dir")
+    _edit_line(directory / INDEX_NAME, 1, lambda entry: entry.update(index="0"))
+    argv = {
+        "resume": ["sweep", str(sweep_file), "--resume", str(directory)],
+        "watch": ["report", str(directory), "--watch", "--max-refreshes", "1"],
+    }[command]
+    _refused(capsys, argv, f"{directory / INDEX_NAME}:1", "index must be")
+
+
+def test_replay_refuses_a_mistyped_event_line(spec_file, tmp_path, capsys):
+    artifact = tmp_path / "run.jsonl"
+    assert cli_main(["run", str(spec_file), "--artifact", str(artifact)]) == 0
+    lines = artifact.read_text().splitlines()
+    number = 1 + next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "event")
+    _edit_line(artifact, number, lambda entry: entry["data"].update(node="3"))
+    _refused(capsys, ["replay", str(artifact)], f"{artifact}:{number}", "node must be")
+
+
+def test_run_refuses_an_unknown_key_in_a_churn_trace_line(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"type": "delete", "node": 3, "neighbors": [], "weight": 1}\n')
+    spec = tmp_path / "replay.json"
+    spec.write_text(
+        BASE.with_overrides(
+            adversary="trace-replay", adversary_kwargs={"path": str(trace)}
+        ).to_json()
+    )
+    _refused(capsys, ["run", str(spec)], f"{trace}:1", "weight")
+
+
+def test_report_refuses_a_manifest_artifact_outside_the_directory(streamed, tmp_path, capsys):
+    directory = shutil.copytree(streamed["plain"], tmp_path / "dir")
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    outside = tmp_path / "outside.jsonl"
+    (directory / manifest["entries"][0]["artifact"]).rename(outside)
+    manifest["entries"][0]["artifact"] = str(outside)
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+    _refused(capsys, ["report", str(directory)], directory / MANIFEST_NAME, "entries[0].artifact")
+
+
+def test_resume_refuses_an_index_artifact_outside_the_directory(
+    streamed, sweep_file, tmp_path, capsys
+):
+    directory = shutil.copytree(streamed["plain"], tmp_path / "dir")
+    _edit_line(
+        directory / INDEX_NAME, 1, lambda entry: entry.update(artifact="../" + entry["artifact"])
+    )
+    _refused(
+        capsys,
+        ["sweep", str(sweep_file), "--resume", str(directory)],
+        f"{directory / INDEX_NAME}:1",
+        "artifact must be a bare file name",
+    )

@@ -4,9 +4,9 @@ ISSUE 3 satellite: random ``ScenarioSpec``/``SweepSpec`` values round-trip
 ``to_json``/``from_json`` exactly, fingerprints are canonical (stable across
 dict insertion orders, sensitive to every field value), and ``derive_seed``
 separates roles — the healer, adversary, topology and sweep streams derived
-from one base seed never collide.  Every JSON document class round-trips,
-and a document with one field of the wrong JSON type is refused with a
-``ValidationError`` naming that field's dotted path.
+from one base seed never collide.  Every JSON document and JSONL line class
+round-trips, and a document with one field of the wrong JSON type is refused
+with a ``ValidationError`` naming that field's dotted path.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,18 @@ from repro.scenarios import (
     list_healers,
     list_topologies,
 )
+from repro.scenarios.artifacts import ArtifactLine
+from repro.scenarios.runner import ChurnEvent
 from repro.scenarios.spec import canonical_fingerprint
+from repro.scenarios.stream import (
+    AdaptiveRound,
+    ArmScore,
+    FailureEntry,
+    HalvingBudget,
+    IndexEntry,
+    Manifest,
+    StopDecision,
+)
 from repro.util.rng import derive_seed
 from repro.util.validation import ValidationError
 
@@ -158,10 +170,99 @@ def full_sweep_specs(draw) -> SweepSpec:
     )
 
 
+# The line classes: churn-trace and artifact lines, and a sweep directory's
+# index, failure and round ledgers and manifest.
+_counts = st.integers(0, 2**31)
+_maybe_counts = st.none() | _counts
+_maybe_names = st.none() | st.text(max_size=8)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_maybe_finite = st.none() | _finite
+churn_events = st.builds(
+    ChurnEvent,
+    type=st.sampled_from(["insert", "delete"]),
+    node=_counts,
+    neighbors=st.lists(_counts, max_size=3),
+    step=_maybe_counts,
+)
+artifact_lines = (
+    st.builds(ArtifactLine, kind=st.just("spec"), data=scenario_specs().map(ScenarioSpec.to_dict))
+    | st.builds(ArtifactLine, kind=st.just("event"), data=churn_events.map(ChurnEvent.to_dict))
+    | st.builds(
+        ArtifactLine, kind=st.sampled_from(["summary", "timeline", "cache_stats"]), data=_kwargs
+    )
+)
+index_entries = st.builds(
+    IndexEntry,
+    artifact=st.from_regex(r"[0-9]{4}-[a-z]{1,6}\.jsonl(\.gz)?", fullmatch=True),
+    index=_maybe_counts,
+    fingerprint=_maybe_names,
+    label=_maybe_names,
+    sha256=_maybe_names,
+    replicate=_maybe_counts,
+    timesteps=_maybe_counts,
+    wall_clock_s=_json_values,
+    step_cost_s=_json_values,
+)
+failure_entries = st.builds(
+    FailureEntry,
+    fingerprint=st.text(max_size=8),
+    index=_counts,
+    label=_maybe_names,
+    attempts=_maybe_counts,
+    error=_maybe_names,
+    wall_clock=_maybe_finite,
+)
+manifests = st.builds(
+    Manifest,
+    entries=st.lists(index_entries, max_size=2),
+    points=_maybe_counts,
+    compressed=st.none() | st.booleans(),
+    failed=st.lists(failure_entries, max_size=2),
+)
+adaptive_rounds = st.builds(
+    AdaptiveRound,
+    round=_counts,
+    mode=st.sampled_from(["halving", "stopping"]),
+    axis=_maybe_names,
+    objective=_maybe_names,
+    minimize=st.booleans(),
+    budget=st.builds(HalvingBudget, replicates=_maybe_counts, timesteps=_maybe_counts),
+    scores=st.lists(
+        st.builds(ArmScore, arm=_json_values, score=_finite, points=_maybe_counts), max_size=2
+    ),
+    survivors=st.lists(_json_values, max_size=2),
+    metric=_maybe_names,
+    target_half_width=_maybe_finite,
+    decisions=st.lists(
+        st.builds(
+            StopDecision,
+            status=st.sampled_from(["converged", "exhausted", "continue"]),
+            half_width=_finite,
+            point=_maybe_names,
+            replicates=_maybe_counts,
+            mean=_maybe_finite,
+            ci_low=_maybe_finite,
+            ci_high=_maybe_finite,
+        ),
+        max_size=2,
+    ),
+)
+
 #: Every JSON document class: a full sweep nests the scenario, policy and
 #: adaptive classes; ChaosSpec (the ``REPRO_CHAOS`` value) nests in no other
-#: document, so it is drawn on its own.
-documents = st.one_of(scenario_specs(), full_sweep_specs(), chaos_specs)
+#: document, so it is drawn on its own, as is each line class (a manifest
+#: nests index and failure entries, a round its budget, scores and decisions).
+documents = st.one_of(
+    scenario_specs(),
+    full_sweep_specs(),
+    chaos_specs,
+    churn_events,
+    artifact_lines,
+    index_entries,
+    failure_entries,
+    manifests,
+    adaptive_rounds,
+)
 
 
 @FAST
@@ -198,11 +299,19 @@ def _annotated_fields(document, prefix: str = ""):
         value = getattr(document, spec_field.name)
         if dataclasses.is_dataclass(value):
             yield from _annotated_fields(value, f"{path}.")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if dataclasses.is_dataclass(item):
+                    yield from _annotated_fields(item, f"{path}[{i}].")
+
+
+def _any_array(value) -> bool:
+    return isinstance(value, list)
 
 
 #: Which JSON values each scalar annotation accepts; a ``dict`` field or a
-#: nested document accepts any object (a nested document's own fields are
-#: fuzzed separately).
+#: nested document accepts any object, and a list of documents any array (a
+#: nested document's own fields are fuzzed separately).
 _ACCEPTS = {
     "str": lambda value: isinstance(value, str),
     "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
@@ -210,27 +319,41 @@ _ACCEPTS = {
         isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     ),
     "bool": lambda value: isinstance(value, bool),
+    "object": lambda value: True,
+    "list": _any_array,
+    "list[int]": lambda value: _any_array(value) and all(map(_ACCEPTS["int"], value)),
+    "list[IndexEntry]": _any_array,
+    "list[FailureEntry]": _any_array,
+    "list[ArmScore]": _any_array,
+    "list[StopDecision]": _any_array,
 }
 #: Python's json parses NaN and Infinity, which JSON numbers exclude.
 _JSON_VALUES = ["x", 5, 2.5, float("inf"), float("nan"), True, None, [1], {"k": 1}]
 
 
+def _mistypings(document):
+    """Yield ``(dotted path, wrong values)`` for every field some JSON value mistypes."""
+    for path, kind, optional in _annotated_fields(document):
+        accepts = _ACCEPTS.get(kind, lambda value: isinstance(value, dict))
+        wrong = [
+            value
+            for value in _JSON_VALUES
+            if not accepts(value) and not (value is None and optional)
+        ]
+        if wrong:
+            yield path, wrong
+
+
 @FAST
 @given(documents, st.data())
 def test_one_mistyped_field_is_refused_by_its_dotted_name(document, data):
-    path, kind, optional = data.draw(st.sampled_from(list(_annotated_fields(document))))
-    accepts = _ACCEPTS.get(kind, lambda value: isinstance(value, dict))
-    wrong = data.draw(
-        st.sampled_from(
-            [
-                value
-                for value in _JSON_VALUES
-                if not accepts(value) and not (value is None and optional)
-            ]
-        )
-    )
+    path, wrong_values = data.draw(st.sampled_from(list(_mistypings(document))))
+    wrong = data.draw(st.sampled_from(wrong_values))
     payload = document.to_dict()
-    *parents, leaf = path.split(".")
+    # ``scores[0].score`` -> ["scores", 0, "score"]
+    *parents, leaf = [
+        int(key) if key.isdigit() else key for key in re.split(r"[.\[\]]+", path) if key
+    ]
     target = payload
     for key in parents:
         target = target[key]
