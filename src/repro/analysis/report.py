@@ -73,11 +73,11 @@ from repro.util.validation import require
 #: Compact per-point series shown in the markdown timeline section:
 #: column header -> extractor over one timeline row.
 _TIMELINE_COLUMNS = {
-    "step": lambda row: row.get("timestep"),
-    "degree_ratio": lambda row: row.get("worst_degree_ratio"),
-    "h(healed)": lambda row: row.get("healed", {}).get("edge_expansion"),
-    "h(ghost)": lambda row: row.get("ghost", {}).get("edge_expansion"),
-    "lambda(healed)": lambda row: row.get("healed", {}).get("algebraic_connectivity"),
+    "step": lambda row: row["timestep"],
+    "degree_ratio": lambda row: row["worst_degree_ratio"],
+    "h(healed)": lambda row: row["healed"].get("edge_expansion"),
+    "h(ghost)": lambda row: row["ghost"].get("edge_expansion"),
+    "lambda(healed)": lambda row: row["healed"].get("algebraic_connectivity"),
 }
 
 #: Bootstrap resamples behind the ``ci`` column (seeded, so deterministic).

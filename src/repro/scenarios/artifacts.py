@@ -8,7 +8,8 @@ An artifact is one JSONL file describing one run completely::
     {"kind": "event",       "data": {...one trace event...}}    (0+ lines)
     {"kind": "cache_stats", "data": {...engine counters...}}
 
-Every line is an :class:`ArtifactLine`, and an event line's data a
+Every line is an :class:`ArtifactLine`, a timeline line's data a
+:class:`~repro.scenarios.runner.TimelineRow`, and an event line's data a
 :class:`~repro.scenarios.runner.ChurnEvent` when it replays; a line that is
 not raises ``ValueError`` naming ``<path>:<line>`` and the field.
 
@@ -56,7 +57,7 @@ GZIP_LEVEL = 6
 ARTIFACT_KINDS = ("spec", "summary", "timeline", "event", "cache_stats")
 
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.scenarios.runner import ChurnEvent, RunRecord
+from repro.scenarios.runner import ChurnEvent, RunRecord, TimelineRow
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.validation import Document, read_jsonl, require, require_in
 
@@ -65,8 +66,9 @@ from repro.util.validation import Document, read_jsonl, require, require_in
 class ArtifactLine(Document):
     """An artifact line: a ``kind`` from :data:`ARTIFACT_KINDS` and its ``data``.
 
-    A spec line's data must be a :class:`ScenarioSpec`, its errors naming the
-    field bare (``name must be a string``) as a spec file's do.
+    A spec line's data must be a :class:`ScenarioSpec` and a timeline line's
+    a :class:`TimelineRow`, their errors naming the field bare (``name must
+    be a string``) as a spec file's do.
     """
 
     kind: str
@@ -76,6 +78,8 @@ class ArtifactLine(Document):
         require_in(self.kind, ARTIFACT_KINDS, "kind")
         if self.kind == "spec":
             ScenarioSpec.from_dict(self.data)
+        elif self.kind == "timeline":
+            TimelineRow.from_dict(self.data)
         return self
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 
@@ -120,16 +121,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _check_resume_replicates(resume_dir: Path, replicates: int) -> None:
+def _check_resume_replicates(resume_dir: Path, replicates: int, entries: list) -> None:
     """Refuse resuming a directory recorded under a different replicate count.
 
-    A mismatched ``--replicates`` silently re-runs the whole grid (every
-    fingerprint differs) and strands the old points as orphans — an error
-    message beats a doubled directory.
+    ``entries`` are the directory's index entries.  A mismatched
+    ``--replicates`` silently re-runs the whole grid (every fingerprint
+    differs) and strands the old points as orphans — an error message beats
+    a doubled directory.
     """
-    from repro.scenarios.stream import iter_all_index_entries
-
-    recorded = [entry["replicate"] for entry in iter_all_index_entries(Path(resume_dir))]
+    recorded = [entry["replicate"] for entry in entries]
     if not recorded:
         return
     ids = [value for value in recorded if value is not None]
@@ -314,8 +314,6 @@ def _cmd_sweep(args) -> int:
     if args.stream_to or args.resume:
         # Streamed mode: nothing is buffered, each finished point lands on
         # disk durably, and a resumed run executes only the missing points.
-        if args.resume:
-            _check_resume_replicates(Path(args.resume), sweep.replicates)
         directory = Path(args.stream_to or args.resume)
         try:
             result = run_scenarios(
@@ -327,6 +325,7 @@ def _cmd_sweep(args) -> int:
                 policy=policy,
                 retry_failed=args.retry_failed,
                 executor=executor,
+                check_resume=partial(_check_resume_replicates, directory, sweep.replicates),
             )
         except KeyboardInterrupt:
             # Everything already recorded survived durably — say so instead

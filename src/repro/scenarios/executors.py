@@ -119,8 +119,8 @@ class ProcessPoolBackend:
     The parent stays the only stream writer: workers return
     ``(RunRecord, wall_clock_s)`` payloads over the pool's result pipe and
     the coordinator appends to the single ``index.jsonl``.  Survives worker
-    death (pool respawn, likely culprits charged, the rest re-queued free)
-    and enforces ``policy.timeout_s`` by killing the pool; retries and
+    death (pool respawn, the started points charged, the rest re-queued
+    free) and enforces ``policy.timeout_s`` by killing the pool; retries and
     quarantine follow the shared scheduler.
     """
 

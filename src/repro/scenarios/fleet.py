@@ -7,6 +7,8 @@ each over its stdin/stdout pipe pair::
     coordinator -> worker   {"op": "run", "index": 3, "attempt": 0,
                              "spec": {...}}
     worker -> coordinator   {"op": "ready"}
+                            {"op": "start", "index": 3, "attempt": 0,
+                             "at": 5012.25}
                             {"op": "done", "index": 3, "attempt": 0,
                              "record": {...}, "wall_clock_s": 0.12}
                             {"op": "error", "index": 3, "attempt": 0,
@@ -17,16 +19,21 @@ The coordinator is a transport over the same
 :class:`~repro.scenarios.policy.PointScheduler` as the process pool, which
 owns retries, backoff, deadlines and quarantine; the fleet spawns workers,
 moves leased points and replies over the pipes, and reports how each lease
-ended.  Each worker slot holds at most one leased point and moves through
-the health states ``leased`` (spawned, awaiting its ready line) → ``idle`` →
-``busy`` → ``dead``.  Death — pipe EOF, a kill, an injected chaos crash —
-charges exactly the worker's own point one attempt (attribution is exact,
-unlike the shared process pool) and respawns the slot; every other
-in-flight point is untouched.  A worker still busy past its lease's
-``policy.timeout_s`` deadline is killed alone and its point charged a
-timeout attempt; the lease starts when the point is sent to a ready worker,
-so spawn time (bounded by its own ready deadline) never counts.  A worker
-that dies, is killed or is shut down has both pipes closed and is reaped.
+ended.  Each worker slot moves through the health states ``leased``
+(spawned, awaiting its ready line) → ``ready`` → ``dead`` and, once ready,
+holds a FIFO of up to :data:`~repro.scenarios.policy.LEASES_PER_WORKER`
+leased points, so the worker runs its next point while the coordinator
+records the last one.  A worker runs its points in order and writes a
+``start`` line (``at`` is its ``time.monotonic()``) before each, so the
+head of the FIFO is the point it runs and its timeout clock starts there;
+a reply that does not name the head is a protocol error.  Death — pipe
+EOF, a kill, an injected chaos crash — charges exactly the started point
+one attempt (attribution is exact, unlike the shared process pool),
+releases the worker's queued points uncharged, and respawns the slot;
+every other worker's points are untouched.  A worker still running past
+its point's ``policy.timeout_s`` deadline is killed alone and its point
+charged a timeout attempt.  A worker that dies, is killed or is shut down
+has both pipes closed and is reaped.
 
 Workers hold no stream state: each runs the pool's work unit
 :func:`~repro.scenarios.runner.execute_point` and replies with the
@@ -47,10 +54,11 @@ import subprocess
 import sys
 import threading
 import time
+from collections import deque
 from pathlib import Path
 from queue import Empty, Queue
 
-from repro.scenarios.policy import PointScheduler
+from repro.scenarios.policy import LEASES_PER_WORKER, PointScheduler
 from repro.scenarios.registry import register_executor
 from repro.util.validation import require
 
@@ -63,7 +71,7 @@ READY_TIMEOUT_S = 120.0
 MAX_SPAWN_FAILURES = 3
 
 #: Worker health states.
-LEASED, IDLE, BUSY, DEAD = "leased", "idle", "busy", "dead"
+LEASED, READY, DEAD = "leased", "ready", "dead"
 
 
 class RemoteWorkerError(RuntimeError):
@@ -106,13 +114,13 @@ def _worker_env() -> dict:
 
 
 class _Worker:
-    """One worker slot: a subprocess, its health state, its leased point."""
+    """One worker slot: a subprocess, its health state, its leased points."""
 
     def __init__(self, slot: int):
         self.slot = slot
         self.state = DEAD
         self.process: subprocess.Popen | None = None
-        self.lease = None  # the scheduler's Lease this worker is running
+        self.leases: deque = deque()  # the scheduler's Leases sent, the running one first
         self.ready_deadline: float | None = None
         self.spawn_failures = 0
 
@@ -189,46 +197,55 @@ class SubprocessFleetExecutor:
                 bufsize=1,
             )
             worker.state = LEASED
-            worker.lease = None
             worker.ready_deadline = time.monotonic() + READY_TIMEOUT_S
             threading.Thread(
                 target=_pump, args=(worker.slot, worker.process, events), daemon=True
             ).start()
 
-        def kill(worker: _Worker) -> None:
+        def retire(worker: _Worker, kill: bool = True) -> list:
+            """Mark a worker dead and reap it (killing it first); return its leases."""
+            leases = list(worker.leases)
             worker.state = DEAD
-            worker.lease = None
+            worker.leases.clear()
             if worker.process is not None:
-                _reap(worker.process, kill=True)
+                _reap(worker.process, kill=kill)
+            return leases
 
         def respawn(worker: _Worker) -> None:
             if not scheduler.done:
                 spawn(worker)
 
         def send(worker: _Worker, lease) -> None:
-            """Hand one leased point to an idle worker; on a dead pipe, let EOF handle it."""
+            """Queue one leased point on a ready worker; on a dead pipe, let EOF handle it."""
             task = {
                 "op": "run",
                 "index": lease.index,
                 "attempt": lease.attempt,
                 "spec": spec_list[lease.index].to_dict(),
             }
-            worker.lease = lease
-            worker.state = BUSY
+            worker.leases.append(lease)
             try:
                 worker.process.stdin.write(json.dumps(task) + "\n")
                 worker.process.stdin.flush()
             except (BrokenPipeError, OSError, ValueError):
-                # The worker died holding the lease; its EOF event (already
-                # queued or imminent) charges the point and respawns.
+                # The worker died holding its leases; its EOF event (already
+                # queued or imminent) settles them and respawns.
                 pass
 
+        def dispatch() -> None:
+            """Lease points round-robin until every ready worker holds its share."""
+            for depth in range(LEASES_PER_WORKER):
+                for worker in fleet.values():
+                    if worker.state == READY and len(worker.leases) == depth:
+                        lease = scheduler.lease()
+                        if lease is None:
+                            return
+                        send(worker, lease)
+
         def on_death(worker: _Worker) -> None:
-            """EOF from a worker: reap it, charge its leased point, recycle the slot."""
-            was, lease = worker.state, worker.lease
-            worker.state = DEAD
-            worker.lease = None
-            _reap(worker.process)
+            """EOF from a worker: reap it, charge its started point, release the rest."""
+            was = worker.state
+            leases = retire(worker, kill=False)
             if was == LEASED:
                 worker.spawn_failures += 1
                 require(
@@ -237,45 +254,53 @@ class SubprocessFleetExecutor:
                     f"times before becoming ready; workers cannot start "
                     f"(is repro.scenarios.fleet importable by {sys.executable}?)",
                 )
-            if was == BUSY and lease is not None:
+            for lease in scheduler.release_unstarted(leases):
                 scheduler.die(lease)
+            respawn(worker)
+
+        def on_violation(worker: _Worker, what: str) -> None:
+            """Kill a worker that broke the protocol; charge its point, release the rest."""
+            leases = retire(worker)
+            if leases:
+                for lease in leases[1:]:
+                    scheduler.release(lease)
+                scheduler.fail(
+                    leases[0],
+                    RemoteWorkerError(f"RuntimeError('worker {worker.slot} sent {what}')"),
+                )
             respawn(worker)
 
         def on_message(worker: _Worker, line: str) -> None:
             try:
                 message = json.loads(line)
             except json.JSONDecodeError:
-                # A worker that corrupts its protocol stream is as good as
-                # dead: kill it, charge its point, recycle the slot.
-                lease = worker.lease
-                kill(worker)
-                if lease is not None:
-                    scheduler.fail(
-                        lease,
-                        RemoteWorkerError(
-                            f"RuntimeError('worker {worker.slot} sent an "
-                            f"undecodable protocol line')"
-                        ),
-                    )
-                respawn(worker)
+                on_violation(worker, "an undecodable protocol line")
                 return
             op = message.get("op") if isinstance(message, dict) else None
             if op == "ready":
                 worker.spawn_failures = 0
                 worker.ready_deadline = None
                 if worker.state == LEASED:
-                    worker.state = IDLE
+                    worker.state = READY
                 return
-            if op not in ("done", "error") or worker.lease is None:
+            if op not in ("start", "done", "error"):
                 return  # stray chatter; harmless
-            lease = worker.lease
-            worker.lease = None
-            worker.state = IDLE
+            head = worker.leases[0] if worker.leases else None
+            named = (message.get("index"), message.get("attempt"))
+            if head is None or named != (head.index, head.attempt):
+                on_violation(
+                    worker, f"a {op} line for point {named[0]} attempt {named[1]} out of turn"
+                )
+                return
+            if op == "start":
+                scheduler.start(head.seq, message["at"])
+                return
+            worker.leases.popleft()
             if op == "error":
-                scheduler.fail(lease, RemoteWorkerError(str(message.get("error"))))
+                scheduler.fail(head, RemoteWorkerError(str(message.get("error"))))
             else:
                 record = RunRecord.from_dict(message["record"])
-                scheduler.finish(lease, (record, message["wall_clock_s"]))
+                scheduler.finish(head, (record, message["wall_clock_s"]))
 
         fleet = {
             slot: _Worker(slot) for slot in range(max(1, min(ctx.workers, len(ctx.indices))))
@@ -284,12 +309,7 @@ class SubprocessFleetExecutor:
             for worker in fleet.values():
                 spawn(worker)
             while not scheduler.done:
-                for worker in fleet.values():
-                    if worker.state == IDLE:
-                        lease = scheduler.lease()
-                        if lease is None:
-                            break
-                        send(worker, lease)
+                dispatch()
                 # Sleep until the next actionable instant: a worker message,
                 # a lease deadline, a backoff expiry, or a spawn deadline.
                 wakeups = [
@@ -318,19 +338,19 @@ class SubprocessFleetExecutor:
                         on_death(worker)
                     else:
                         on_message(worker, payload)
-                # Enforce deadlines: a busy worker past its lease's deadline is
-                # killed alone and its point charged a timeout attempt.
+                # Enforce deadlines: a worker past its running point's deadline
+                # is killed alone, its point charged a timeout attempt and its
+                # queued points released.
                 overdue = scheduler.overdue()
                 now = time.monotonic()
                 for worker in fleet.values():
-                    if worker.state == BUSY and worker.lease in overdue:
-                        lease = worker.lease
-                        kill(worker)
-                        scheduler.expire(lease)
+                    if worker.leases and worker.leases[0] in overdue:
+                        for lease in scheduler.release_unstarted(retire(worker)):
+                            scheduler.expire(lease)
                         respawn(worker)
                     elif worker.state == LEASED and worker.ready_deadline <= now:
                         worker.spawn_failures += 1
-                        kill(worker)
+                        retire(worker)
                         require(
                             worker.spawn_failures < MAX_SPAWN_FAILURES,
                             f"fleet worker slot {worker.slot} failed to become "
@@ -340,17 +360,20 @@ class SubprocessFleetExecutor:
                         spawn(worker)
         except KeyboardInterrupt:
             for worker in fleet.values():
-                kill(worker)
+                retire(worker)
             raise
         finally:
             self._shutdown(fleet)
 
     @staticmethod
     def _shutdown(fleet: dict) -> None:
-        """Ask every live worker to exit, then reap each; kill one that lingers."""
+        """Ask every idle live worker to exit, kill any still holding points, reap each."""
         for worker in fleet.values():
             process = worker.process
             if process is None or process.poll() is not None:
+                continue
+            if worker.leases:
+                process.kill()  # abandoned points queued behind the shutdown line
                 continue
             try:
                 process.stdin.write('{"op": "shutdown"}\n')
@@ -424,5 +447,14 @@ def worker_main() -> int:
             if op != "run":
                 reply({"op": "error", "error": f"RuntimeError('unknown op: {op!r}')"})
                 continue
+            # Before the point, chaos shim included: a hang counts against the timeout.
+            reply(
+                {
+                    "op": "start",
+                    "index": task["index"],
+                    "attempt": task["attempt"],
+                    "at": time.monotonic(),
+                }
+            )
             reply(_execute_task(task))
     return 0

@@ -98,13 +98,17 @@ class PointPolicy(Document):
         ).validate()
 
 
+#: Points each worker of a multi-process transport holds in flight: the one
+#: it runs and the next ones, queued so it never idles on a result round trip.
+LEASES_PER_WORKER = 4
+
+
 class Lease(NamedTuple):
     """One attempt of one point on a worker; ``seq`` is the lease order."""
 
     index: int
     attempt: int
     seq: int
-    deadline: float | None
 
 
 class PointScheduler:
@@ -114,13 +118,15 @@ class PointScheduler:
     queued, leased to a worker, done (delivered to ``on_complete``), waiting
     out a backoff after a charged attempt, or quarantined.  A released lease
     goes back to the queue uncharged.  Backends are transports: they
-    :meth:`lease` points and report how each lease ended (:meth:`settle`,
+    :meth:`lease` points, relay each worker's report that it started one
+    (:meth:`start`), and report how each lease ended (:meth:`settle`,
     :meth:`finish`, :meth:`fail`, :meth:`die`, :meth:`expire`,
-    :meth:`release`).  The scheduler owns the deadlines, the
-    :meth:`PointPolicy.retry_delay` backoff, the canonical timeout and
-    worker-death errors, and a point's last charge:
-    ``on_quarantine(index, attempts, error)``, or re-raising the error when
-    no quarantine sink is given (buffered runs).
+    :meth:`release`).  A lease's deadline counts from its start, so a
+    transport may queue :data:`LEASES_PER_WORKER` leases on a worker.  The
+    scheduler owns the deadlines, the :meth:`PointPolicy.retry_delay`
+    backoff, the canonical timeout and worker-death errors, and a point's
+    last charge: ``on_quarantine(index, attempts, error)``, or re-raising
+    the error when no quarantine sink is given (buffered runs).
     """
 
     def __init__(
@@ -140,6 +146,7 @@ class PointScheduler:
         self._queue: deque = deque((index, 0) for index in indices)
         self._backoff: list = []  # heap of (ready_at, seq, index, next attempt)
         self._leased: dict[int, Lease] = {}  # seq -> lease, oldest first
+        self._started: dict[int, float] = {}  # seq -> when its worker started it
         self._seq = 0
 
     @property
@@ -151,36 +158,53 @@ class PointScheduler:
         """Return every lease in flight, oldest first."""
         return list(self._leased.values())
 
+    def started(self, lease: Lease) -> bool:
+        """Return whether a worker reported starting ``lease``."""
+        return lease.seq in self._started
+
     def lease(self) -> Lease | None:
         """Lease the next ready point to a worker, or return ``None``.
 
-        The lease's deadline starts now: lease a point only when a worker can
-        start it.
+        The lease has no deadline until its worker reports starting it
+        (:meth:`start`), so it may wait in the worker's queue.
         """
-        now = self.clock()
-        self._promote(now)
+        self._promote(self.clock())
         if not self._queue:
             return None
         index, attempt = self._queue.popleft()
         self._seq += 1
-        timeout_s = self.policy.timeout_s
-        lease = Lease(index, attempt, self._seq, None if timeout_s is None else now + timeout_s)
+        lease = Lease(index, attempt, self._seq)
         self._leased[lease.seq] = lease
         return lease
+
+    def start(self, seq: int, at: float) -> None:
+        """Record that a worker started lease ``seq`` at clock time ``at``.
+
+        Its deadline is ``at + timeout_s``.  A lease that already ended (a
+        late report) is ignored.
+        """
+        if seq in self._leased:
+            self._started[seq] = at
 
     def wait_s(self) -> float | None:
         """Return the seconds until the next deadline or backoff expiry, if any.
 
         A backoff that expired since the last call is queued and makes this
         call return 0, once; a queued point is never a wakeup, so a transport
-        whose slots are all busy sleeps instead of spinning.
+        whose slots are all busy sleeps instead of spinning.  Under a timeout,
+        an unstarted lease caps the wait at ``timeout_s``: its worker may start
+        it at any moment, and a transport that learns of the start late still
+        wakes before the deadline.
         """
         now = self.clock()
         if self._promote(now):
             return 0.0
-        instants = [lease.deadline for lease in self._leased.values() if lease.deadline is not None]
-        if self._backoff:
-            instants.append(self._backoff[0][0])
+        timeout_s = self.policy.timeout_s
+        instants = [self._backoff[0][0]] if self._backoff else []
+        if timeout_s is not None:
+            instants.extend(at + timeout_s for at in self._started.values())
+            if len(self._started) < len(self._leased):
+                instants.append(now + timeout_s)
         return max(0.0, min(instants) - now) if instants else None
 
     def _promote(self, now: float) -> bool:
@@ -192,12 +216,15 @@ class PointScheduler:
         return promoted
 
     def overdue(self) -> list[Lease]:
-        """Return the leases whose deadline has passed, oldest first."""
+        """Return the started leases whose deadline has passed, oldest first."""
+        timeout_s = self.policy.timeout_s
+        if timeout_s is None:
+            return []
         now = self.clock()
         return [
             lease
-            for lease in self._leased.values()
-            if lease.deadline is not None and lease.deadline <= now
+            for seq, lease in self._leased.items()
+            if seq in self._started and self._started[seq] + timeout_s <= now
         ]
 
     def settle(self, finished=(), failed=()) -> None:
@@ -213,6 +240,7 @@ class PointScheduler:
 
         for lease, _ in (*finished, *failed):
             del self._leased[lease.seq]
+            self._started.pop(lease.seq, None)
         failures = list(failed)
         for lease, payload in sorted(finished, key=lambda pair: pair[0].index):
             try:
@@ -259,4 +287,17 @@ class PointScheduler:
     def release(self, lease: Lease) -> None:
         """Re-queue an innocent lease's point, uncharged, behind the queue."""
         del self._leased[lease.seq]
+        self._started.pop(lease.seq, None)
         self._queue.append((lease.index, lease.attempt))
+
+    def release_unstarted(self, leases) -> list[Lease]:
+        """Release every lease of ``leases`` no worker started; return the started rest.
+
+        A worker that dies or is killed holds its started lease, which the
+        transport then charges, and the queued ones it never began.
+        """
+        started = [lease for lease in leases if self.started(lease)]
+        for lease in leases:
+            if not self.started(lease):
+                self.release(lease)
+        return started

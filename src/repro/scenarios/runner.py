@@ -33,16 +33,17 @@ re-running an innocent point is always safe.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.adversary.base import AdversaryEvent, EventType
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.scenarios.policy import PointPolicy, PointScheduler
+from repro.scenarios.policy import LEASES_PER_WORKER, PointPolicy, PointScheduler
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.validation import Document, require, require_in
 
@@ -72,6 +73,20 @@ class ChurnEvent(Document):
     def event(self) -> AdversaryEvent:
         """Return the event this line records."""
         return AdversaryEvent(EventType(self.type), self.node, tuple(self.neighbors))
+
+
+@dataclass(frozen=True)
+class TimelineRow(Document):
+    """An artifact ``timeline`` line's data: one row of :func:`timeline_rows`.
+
+    ``healed`` and ``ghost`` are snapshot objects; their values, and the
+    degree ratio, may be non-finite, so no field checks them.
+    """
+
+    timestep: int
+    worst_degree_ratio: object
+    healed: dict
+    ghost: dict
 
 
 def timeline_rows(result: ExperimentResult) -> list[dict]:
@@ -182,15 +197,39 @@ def execute_point(spec: ScenarioSpec, attempt: int = 0) -> tuple[RunRecord, floa
     return execute_spec_timed(spec)
 
 
-def build_pool(workers: int) -> ProcessPoolExecutor:
-    """Construct the worker pool every pooled execution path shares.
+#: A pool worker's start-stamp queue, installed by :func:`_install_stamps`.
+_stamps = None
+
+
+def _install_stamps(stamps) -> None:
+    """Pool initializer: keep the pool's start-stamp queue for :func:`_start_point`."""
+    global _stamps
+    _stamps = stamps
+
+
+def _start_point(seq: int, spec: ScenarioSpec, attempt: int) -> tuple[RunRecord, float]:
+    """The pool task: stamp lease ``seq`` started, then run :func:`execute_point`.
+
+    The stamp comes first, so an injected hang counts against the timeout.
+    """
+    _stamps.put((seq, time.monotonic()))
+    return execute_point(spec, attempt)
+
+
+def build_pool(workers: int):
+    """Construct a worker pool and its start-stamp queue; return both.
 
     The single pool-construction site: initial setup, post-crash respawn and
     timeout recovery all come through here, so pool configuration (worker
     count clamping, a future ``mp_context`` choice) cannot drift between the
-    happy path and the recovery paths.
+    happy path and the recovery paths.  Every pool gets a fresh queue: a
+    worker killed while putting a stamp dies holding the queue's write lock.
     """
-    return ProcessPoolExecutor(max_workers=max(1, workers))
+    stamps = multiprocessing.SimpleQueue()
+    pool = ProcessPoolExecutor(
+        max_workers=max(1, workers), initializer=_install_stamps, initargs=(stamps,)
+    )
+    return pool, stamps
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -228,6 +267,7 @@ def run_scenarios(
     policy: PointPolicy | None = None,
     retry_failed: bool = False,
     executor: str | None = None,
+    check_resume: Callable[[list], None] | None = None,
 ):
     """Run every scenario, buffered in memory or streamed to a directory.
 
@@ -275,6 +315,11 @@ def run_scenarios(
     (after every already-completed point was delivered).  ``resume=`` skips
     previously quarantined points by default; ``retry_failed=True``
     re-offers them with a fresh attempt budget.
+
+    ``check_resume(entries)`` sees every index entry a resumed directory
+    records, from the same single read of its index that finds the completed
+    points, before any point runs; it raises to refuse the resume (the CLI
+    checks the replicate count this way).
     """
     spec_list = list(specs)
     require(workers >= 1, "workers must be at least 1")
@@ -317,105 +362,122 @@ def run_scenarios(
         policy,
         retry_failed,
         executor,
+        check_resume,
     )
 
 
 def _run_pooled(ctx) -> None:
     """The process-pool transport over a :class:`PointScheduler`.
 
-    Submits ``execute_point(spec, attempt)`` per lease and reports how each
-    lease ended; the scheduler owns retries, backoff and quarantine.  The
-    executor cannot say when a queued future starts, so under a
-    ``policy.timeout_s`` at most one point per worker is in flight and a
-    lease is a started point.  That idles each worker for a result round
-    trip between points, which halves the throughput of millisecond points,
-    so without a timeout a window of ``4 * workers`` keeps every worker's
-    next point queued.  Nor can the executor say which worker died holding
-    which point, so a broken pool charges the oldest ``min(workers,
-    in-flight)`` leases (exact for ``workers=1``) and releases the rest.  A
-    stuck worker has no cooperative stop, so a timeout kills the whole pool:
-    the overdue leases are charged and the innocents released.
+    Submits :func:`_start_point` per lease, which stamps the lease started on
+    the pool's start-stamp queue and runs ``execute_point(spec, attempt)``,
+    and reports how each lease ended; the scheduler owns retries, backoff and
+    quarantine.  A lease's timeout clock runs from its stamp, so
+    :data:`~repro.scenarios.policy.LEASES_PER_WORKER` leases per worker stay
+    in flight with or without a timeout, and no worker idles for a result
+    round trip between points.  The parent reads the stamps before it looks
+    for overdue leases and before it charges a broken pool.  The executor
+    cannot say which worker died holding which point, so a broken pool
+    charges the started, unfinished leases (exact for ``workers=1``) and
+    releases the rest.  A stuck worker has no cooperative stop, so a timeout
+    kills the whole pool: the overdue leases are charged and the innocents
+    released.
     """
     spec_list = ctx.spec_list
     workers = max(1, ctx.workers)
     scheduler = PointScheduler(
         spec_list, ctx.indices, ctx.policy, ctx.on_complete, ctx.on_quarantine
     )
-    window = workers if scheduler.policy.timeout_s is not None else 4 * workers
     futures: dict = {}  # future -> lease
+    pool, stamps = build_pool(workers)
 
-    def submit(pool: ProcessPoolExecutor) -> bool:
-        """Place leases until the window is full; return False if the pool broke."""
-        while len(futures) < window:
+    def submit() -> bool:
+        """Lease points until every worker holds its share; False if the pool broke."""
+        while len(futures) < LEASES_PER_WORKER * workers:
             lease = scheduler.lease()
             if lease is None:
                 return True
             try:
-                future = pool.submit(execute_point, spec_list[lease.index], lease.attempt)
+                spec = spec_list[lease.index]
+                future = pool.submit(_start_point, lease.seq, spec, lease.attempt)
             except BrokenExecutor:
                 scheduler.release(lease)  # it never reached a worker
                 return False
             futures[future] = lease
         return True
 
-    def respawn(pool: ProcessPoolExecutor, errors: dict) -> ProcessPoolExecutor:
-        """Replace a broken pool; charge the likely culprits, release the rest."""
+    def drain() -> None:
+        """Pass every start stamp the workers put so far to the scheduler."""
+        while not stamps.empty():
+            scheduler.start(*stamps.get())
+
+    def collect(done) -> dict:
+        """Settle the finished and failed futures of ``done``; return the broken ones' errors."""
+        finished, failed, broken = [], [], {}
+        for future in done:
+            lease = futures.pop(future)
+            try:
+                finished.append((lease, future.result()))
+            except BrokenExecutor as error:
+                broken[lease] = error
+            except Exception as error:
+                failed.append((lease, error))
+        scheduler.settle(finished, failed)
+        return broken
+
+    def replace_pool() -> None:
+        """Kill the pool and its queued futures; build a new pool and stamp queue."""
+        nonlocal pool, stamps
         _kill_pool(pool)
         futures.clear()
-        doomed = scheduler.leased()
-        for lease in doomed[workers:]:
-            scheduler.release(lease)
-        for lease in doomed[:workers]:
-            if lease in errors:
-                scheduler.fail(lease, errors[lease])
+        stamps.close()
+        pool, stamps = build_pool(workers)
+
+    def respawn(broken: dict) -> None:
+        """Replace a broken pool; charge the started, unfinished leases, release the rest."""
+        drain()
+        broken.update(collect([future for future in futures if future.done()]))
+        replace_pool()
+        for lease in scheduler.release_unstarted(scheduler.leased()):
+            if lease in broken:
+                scheduler.fail(lease, broken[lease])
             else:
                 scheduler.die(lease)
-        return build_pool(workers)
 
-    pool = build_pool(workers)
     try:
         while not scheduler.done:
-            if not submit(pool):
-                pool = respawn(pool, {})
+            if not submit():
+                respawn({})
                 continue
             if not futures:
                 # Everything left is waiting out a backoff delay.
                 time.sleep(scheduler.wait_s())
                 continue
             done, _ = wait(futures, timeout=scheduler.wait_s(), return_when=FIRST_COMPLETED)
-            finished, failed, broken = [], [], {}
-            for future in done:
-                lease = futures.pop(future)
-                try:
-                    finished.append((lease, future.result()))
-                except BrokenExecutor as error:
-                    broken[lease] = error
-                except Exception as error:
-                    failed.append((lease, error))
-            scheduler.settle(finished, failed)
+            broken = collect(done)
             if broken:
-                pool = respawn(pool, broken)
+                respawn(broken)
                 continue
+            drain()
             overdue = scheduler.overdue()
             if overdue:
-                _kill_pool(pool)
-                futures.clear()
+                replace_pool()
                 for lease in scheduler.leased():
                     if lease not in overdue:
                         scheduler.release(lease)
                 for lease in overdue:
                     scheduler.expire(lease)
-                pool = build_pool(workers)
         pool.shutdown(wait=True)
     except KeyboardInterrupt:
         _kill_pool(pool)
         raise
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+        stamps.close()
 
 
 def _run_streamed(
-    spec_list, workers, stream_to, resume, compress, policy, retry_failed, executor=None
+    spec_list, workers, stream_to, resume, compress, policy, retry_failed, executor, check_resume
 ):
     """The ``stream_to``/``resume`` execution path of :func:`run_scenarios`."""
     from repro.scenarios.chaos import PointFault, active_chaos, chaos_decision, tear_artifact
@@ -423,6 +485,7 @@ def _run_streamed(
     from repro.scenarios.stream import (
         StreamResult,
         SweepStream,
+        iter_all_index_entries,
         order_most_expensive_first,
         read_failures,
     )
@@ -450,7 +513,12 @@ def _run_streamed(
         f"streamed sweeps need distinct specs per point; duplicate fingerprints: "
         f"{[fp[:12] for fp in duplicated]}",
     )
-    completed = stream.completed() if resume is not None else {}
+    recorded = []
+    if resume is not None:
+        recorded = list(iter_all_index_entries(stream.directory))
+        if check_resume is not None:
+            check_resume(recorded)
+    completed = stream.completed(recorded)
     failed_prior = read_failures(stream.directory, exclude=completed) if resume is not None else {}
     orphans = set(completed) - set(fingerprints)
     if orphans:

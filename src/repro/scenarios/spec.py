@@ -27,6 +27,7 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.harness.experiment import ExperimentConfig
 from repro.scenarios.registry import ADVERSARIES, HEALERS, TOPOLOGIES
@@ -59,10 +60,28 @@ def canonical_fingerprint(data: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+_cached_signature = lru_cache(maxsize=None)(inspect.signature)
+
+
+def _signature(component) -> inspect.Signature:
+    """Return ``inspect.signature(component)``, memoized per component.
+
+    Validation asks for a point's three component signatures several times,
+    in the parent and again in the worker that compiles it.  An unhashable
+    component is inspected uncached: the cache's ``TypeError`` would read as
+    a component without a signature and skip its check.
+    """
+    try:
+        hash(component)
+    except TypeError:
+        return inspect.signature(component)
+    return _cached_signature(component)
+
+
 def _check_signature(component, kwargs: dict, what: str, seed_injected: bool) -> None:
     """Require ``component(**kwargs)`` to be callable; name the accepted params."""
     try:
-        signature = inspect.signature(component)
+        signature = _signature(component)
     except (TypeError, ValueError):  # builtins without introspectable signatures
         return
     trial = dict(kwargs)
@@ -81,7 +100,7 @@ def _check_signature(component, kwargs: dict, what: str, seed_injected: bool) ->
 def _accepts_param(component, name: str) -> bool:
     """Return whether ``component`` takes an explicit keyword named ``name``."""
     try:
-        return name in inspect.signature(component).parameters
+        return name in _signature(component).parameters
     except (TypeError, ValueError):
         return False
 

@@ -623,7 +623,7 @@ class SweepStream:
 
     # -- resuming -------------------------------------------------------------
 
-    def completed(self) -> dict:
+    def completed(self, entries=None) -> dict:
         """Return ``fingerprint -> index entry`` for every verified point.
 
         A point counts as completed only if its index line parses and its
@@ -631,12 +631,15 @@ class SweepStream:
         with an artifact (any line of it) re-runs exactly that point.  Torn
         index lines (from a crash) are ignored.  The scan merges
         ``index.jsonl`` with any older worker shard
-        (:func:`iter_all_index_entries`), the last verified entry per
-        fingerprint winning deterministically.
+        (:func:`iter_all_index_entries`, or ``entries`` already read from
+        it), the last verified entry per fingerprint winning
+        deterministically.
         """
+        if entries is None:
+            entries = iter_all_index_entries(self.directory)
         return {
             entry["fingerprint"]: entry
-            for entry in iter_all_index_entries(self.directory)
+            for entry in entries
             if artifact_matches(self.directory, entry)
         }
 

@@ -19,7 +19,13 @@ import pytest
 from repro.scenarios import ScenarioSpec, SweepSpec, run_scenarios
 from repro.scenarios.adaptive import AdaptiveSpec, HalvingSchedule, run_adaptive
 from repro.scenarios.cli import main as cli_main
-from repro.scenarios.stream import FAILURES_NAME, INDEX_NAME, MANIFEST_NAME, ROUNDS_NAME
+from repro.scenarios.stream import (
+    FAILURES_NAME,
+    INDEX_NAME,
+    MANIFEST_NAME,
+    ROUNDS_NAME,
+    IndexEntry,
+)
 
 BASE = ScenarioSpec(
     name="cli-test",
@@ -591,6 +597,17 @@ def test_report_refuses_a_mistyped_rounds_line(streamed, tmp_path, capsys, key, 
     _refused(capsys, ["report", str(directory)], f"{directory / ROUNDS_NAME}:1", field)
 
 
+@pytest.mark.parametrize("key", ["healed", "ghost"])
+def test_report_refuses_a_timeline_line_whose_snapshot_is_not_an_object(tmp_path, capsys, key):
+    result = run_scenarios([BASE.with_overrides(metric_every=1)], stream_to=tmp_path / "dir")
+    [artifact] = result.paths
+    lines = artifact.read_text().splitlines()
+    number = 1 + next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "timeline")
+    _edit_line(artifact, number, lambda entry: entry["data"].update({key: 5}))
+    argv = ["report", str(result.directory)]
+    _refused(capsys, argv, f"{artifact}:{number}", f"{key} must be a JSON object")
+
+
 def test_report_refuses_a_mistyped_failures_line(streamed, tmp_path, capsys):
     directory = shutil.copytree(streamed["plain"], tmp_path / "dir")
     (directory / MANIFEST_NAME).unlink()  # without it the report reads the ledger
@@ -607,6 +624,23 @@ def test_a_mistyped_index_line_is_refused(streamed, sweep_file, tmp_path, capsys
         "watch": ["report", str(directory), "--watch", "--max-refreshes", "1"],
     }[command]
     _refused(capsys, argv, f"{directory / INDEX_NAME}:1", "index must be")
+
+
+def test_a_resume_parses_each_index_line_once(streamed, sweep_file, tmp_path, monkeypatch):
+    """The replicate check and the completed-point scan share one read of the
+    index; detect_compression's peek at its first line adds one parse."""
+    directory = shutil.copytree(streamed["plain"], tmp_path / "dir")
+    lines = len((directory / INDEX_NAME).read_text().splitlines())
+    parsed = []
+    from_dict = IndexEntry.from_dict.__func__
+
+    def counted(cls, data, path=""):
+        parsed.append(data)
+        return from_dict(cls, data, path)
+
+    monkeypatch.setattr(IndexEntry, "from_dict", classmethod(counted))
+    assert cli_main(["sweep", str(sweep_file), "--resume", str(directory)]) == 0
+    assert len(parsed) == lines + 1
 
 
 def test_replay_refuses_a_mistyped_event_line(spec_file, tmp_path, capsys):

@@ -6,8 +6,8 @@ and ``subprocess-fleet`` runs of one spec list produce byte-identical
 artifacts and (cost-stripped) manifests — buffered and streamed, fault-free
 and under a seeded ``REPRO_CHAOS`` schedule, straight through and across a
 kill-and-resume.  The fleet additionally proves exact per-point fault
-attribution (one leased point per worker) and worker respawn without losing
-in-flight points.
+attribution (a worker's start line names the point it runs) and worker
+respawn without losing in-flight points.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.scenarios import (
     list_executors,
     run_scenarios,
 )
-from repro.scenarios.chaos import ENV_VAR, PointFault
+from repro.scenarios.chaos import ENV_VAR, PointFault, chaos_decision
 from repro.scenarios.executors import (
     ExecutionContext,
     ProcessPoolBackend,
@@ -37,6 +37,7 @@ from repro.scenarios.executors import (
     resolve_executor,
 )
 from repro.scenarios.fleet import RemoteWorkerError, SubprocessFleetExecutor
+from repro.scenarios.policy import LEASES_PER_WORKER, PointScheduler
 from repro.scenarios.registry import EXECUTORS, UnknownNameError
 from repro.scenarios.runner import RunRecord
 from repro.scenarios.stream import (
@@ -185,9 +186,10 @@ def test_a_streamed_run_writes_one_index_listing_every_point_once(tmp_path, back
 def test_fleet_chaos_differential_with_worker_kills(tmp_path, monkeypatch):
     """Crash faults kill fleet workers mid-sweep; respawn + retries converge.
 
-    Attribution is exact at any fleet size (one leased point per worker), so
-    unlike the pool the fleet follows the schedule to the letter even with
-    workers=2 — the comparison baseline is the fault-free serial run.
+    Attribution is exact at any fleet size (start lines name each worker's
+    running point), so unlike the pool the fleet follows the schedule to the
+    letter even with workers=2 — the comparison baseline is the fault-free
+    serial run.
     """
     specs = SWEEP.expand()
     clean = run_scenarios(specs, stream_to=tmp_path / "clean")
@@ -201,6 +203,81 @@ def test_fleet_chaos_differential_with_worker_kills(tmp_path, monkeypatch):
     )
     assert chaotic.failed == 0 and chaotic.executed == len(specs)
     assert canonical_files(clean.directory) == canonical_files(chaotic.directory)
+
+
+def test_a_one_worker_fleet_with_queued_leases_converges_through_crash_chaos(
+    tmp_path, monkeypatch
+):
+    """One worker holds every point at once, so each crash finds points queued
+    behind the one it kills; they are released uncharged and nothing is
+    quarantined."""
+    specs = SWEEP.expand()
+    clean = run_scenarios(specs, stream_to=tmp_path / "clean")
+    monkeypatch.setenv(ENV_VAR, CHAOS.to_json())
+    chaotic = run_scenarios(
+        specs,
+        workers=1,
+        stream_to=tmp_path / "chaos",
+        executor="subprocess-fleet",
+        policy=PointPolicy(max_retries=3),
+    )
+    assert chaotic.failed == 0 and chaotic.executed == len(specs)
+    assert canonical_files(clean.directory) == canonical_files(chaotic.directory)
+
+
+@pytest.mark.parametrize("backend", ["process-pool", "subprocess-fleet"])
+def test_a_crash_charges_the_started_point_and_never_a_queued_one(monkeypatch, backend):
+    """One worker, every point leased to it, seeded crashes and raises.
+
+    Each point is delivered on exactly the first attempt its schedule leaves
+    clean: a crash that charged a point still queued behind the crashing one
+    would deliver that point on a later attempt.
+    """
+    specs = SWEEP.expand()
+    assert len(specs) <= LEASES_PER_WORKER
+    monkeypatch.setenv(ENV_VAR, CHAOS.to_json())
+    expected = {
+        index: next(
+            attempt
+            for attempt in range(4)
+            if chaos_decision(CHAOS, spec.fingerprint(), attempt) in (None, "torn-write")
+        )
+        for index, spec in enumerate(specs)
+    }
+    assert any(
+        chaos_decision(CHAOS, spec.fingerprint(), 0) == "crash" for spec in specs
+    )
+    delivered = {}
+    EXECUTORS.get(backend)().execute(
+        ExecutionContext(
+            spec_list=specs,
+            indices=range(len(specs)),
+            workers=1,
+            policy=PointPolicy(max_retries=3),
+            on_complete=lambda index, payload, attempt: delivered.setdefault(index, attempt),
+        )
+    )
+    assert delivered == expected
+
+
+@pytest.mark.parametrize("backend", ["process-pool", "subprocess-fleet"])
+def test_a_timed_one_worker_transport_holds_more_than_one_lease(monkeypatch, backend):
+    """A timeout no longer limits a worker to the one point it runs."""
+    in_flight = []
+    lease = PointScheduler.lease
+
+    def counted(self):
+        leased = lease(self)
+        in_flight.append(len(self.leased()))
+        return leased
+
+    monkeypatch.setattr(PointScheduler, "lease", counted)
+    specs = SWEEP.expand()
+    records = run_scenarios(
+        specs, workers=1, executor=backend, policy=PointPolicy(timeout_s=60.0)
+    )
+    assert [record.spec for record in records] == specs
+    assert max(in_flight) == min(LEASES_PER_WORKER, len(specs)) > 1
 
 
 def test_fleet_kill_and_resume_converges_to_serial_bytes(tmp_path, monkeypatch):

@@ -85,13 +85,16 @@ def test_wait_s_is_the_minimum_of_the_next_deadline_and_the_next_backoff():
     policy = PointPolicy(timeout_s=4.0, max_retries=1, backoff=1.0)
     scheduler, clock, _ = make(policy, points=2)
     first, second = scheduler.lease(), scheduler.lease()
+    scheduler.start(first.seq, 0.0)
+    scheduler.start(second.seq, 0.0)
     assert scheduler.wait_s() == pytest.approx(4.0)  # only deadlines so far
     scheduler.fail(second, RuntimeError("flaky"))
     delay = policy.retry_delay(SPECS[1].seed, SPECS[1].fingerprint(), 0)
     assert delay < 4.0
     assert scheduler.wait_s() == pytest.approx(delay)  # the backoff is sooner
     clock.now = 2.0
-    retry = scheduler.lease()  # the backoff has expired: deadline 2 + 4
+    retry = scheduler.lease()  # the backoff has expired
+    scheduler.start(retry.seq, 2.0)  # deadline 2 + 4
     assert retry.attempt == 1
     assert scheduler.wait_s() == pytest.approx(2.0)  # first's deadline is sooner
     scheduler.finish(first, "payload")
@@ -104,6 +107,7 @@ def test_an_expired_backoff_is_a_wakeup_once_and_never_while_it_waits_for_a_slot
     policy = PointPolicy(timeout_s=10.0, max_retries=1, backoff=1.0)
     scheduler, clock, _ = make(policy, points=2)
     first, second = scheduler.lease(), scheduler.lease()
+    scheduler.start(first.seq, 0.0)
     scheduler.fail(second, RuntimeError("flaky"))
     delay = policy.retry_delay(SPECS[1].seed, SPECS[1].fingerprint(), 0)
     clock.now = delay + 1.0  # the backoff is over, but every slot is busy: no lease()
@@ -118,9 +122,10 @@ def test_an_expired_backoff_is_a_wakeup_once_and_never_while_it_waits_for_a_slot
 
 def test_an_expired_lease_is_charged_with_the_canonical_timeout_error():
     scheduler, clock, log = make(PointPolicy(timeout_s=1.5, max_retries=1), points=2)
-    scheduler.lease()
+    scheduler.start(scheduler.lease().seq, 0.0)
     clock.now = 1.0
     late = scheduler.lease()
+    scheduler.start(late.seq, 1.0)
     scheduler.finish(scheduler.leased()[0], "payload")
     clock.now = 2.4
     assert scheduler.overdue() == []
@@ -129,6 +134,7 @@ def test_an_expired_lease_is_charged_with_the_canonical_timeout_error():
     scheduler.expire(late)
     retry = scheduler.lease()
     assert (retry.index, retry.attempt) == (1, 1)
+    scheduler.start(retry.seq, 2.5)
     clock.now = 4.0
     scheduler.expire(retry)
     assert log.events[-1] == (
@@ -137,6 +143,47 @@ def test_an_expired_lease_is_charged_with_the_canonical_timeout_error():
         2,
         repr(TimeoutError("point 1 exceeded timeout_s=1.5 on attempt 1")),
     )
+
+
+def test_an_unstarted_lease_is_never_overdue_and_caps_wait_s_at_the_timeout():
+    scheduler, clock, _ = make(PointPolicy(timeout_s=2.0), points=2)
+    first, second = scheduler.lease(), scheduler.lease()
+    assert scheduler.wait_s() == pytest.approx(2.0)  # either may start any moment
+    clock.now = 100.0
+    assert scheduler.overdue() == []  # a queued lease never times out
+    assert scheduler.wait_s() == pytest.approx(2.0)
+    scheduler.start(first.seq, 99.5)
+    assert scheduler.started(first) and not scheduler.started(second)
+    assert scheduler.wait_s() == pytest.approx(1.5)  # first's deadline, 101.5
+    scheduler.start(second.seq, 100.0)
+    assert scheduler.wait_s() == pytest.approx(1.5)  # every lease started: no cap
+    clock.now = 101.5
+    assert scheduler.overdue() == [first]
+    scheduler.expire(first)
+    scheduler.start(first.seq, 101.5)  # a late report for an ended lease
+    assert not scheduler.started(first)
+    assert scheduler.wait_s() == pytest.approx(0.5)
+    scheduler.finish(second, "payload")
+    assert scheduler.wait_s() is None and scheduler.done
+
+
+def test_without_a_timeout_leases_have_no_deadline_and_no_wakeup():
+    scheduler, clock, _ = make(PointPolicy(), points=2)
+    first, _ = scheduler.lease(), scheduler.lease()
+    scheduler.start(first.seq, 0.0)
+    clock.now = 1e9
+    assert scheduler.overdue() == [] and scheduler.wait_s() is None
+
+
+def test_release_unstarted_requeues_the_queued_leases_and_returns_the_started_one():
+    scheduler, _, log = make(PointPolicy(), points=3)
+    leases = [scheduler.lease() for _ in range(3)]
+    scheduler.start(leases[1].seq, 0.0)
+    assert scheduler.release_unstarted(leases) == [leases[1]]
+    assert scheduler.leased() == [leases[1]] and log.events == []
+    requeued = scheduler.lease(), scheduler.lease()
+    assert [lease.index for lease in requeued] == [0, 2]
+    assert not any(scheduler.started(lease) for lease in requeued)
 
 
 def test_a_dead_worker_charges_its_lease_the_canonical_broken_executor_error():

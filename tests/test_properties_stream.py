@@ -48,6 +48,15 @@ _scalars = st.one_of(
     st.text(max_size=8),
 )
 _row = st.dictionaries(st.text(min_size=1, max_size=8), _scalars, max_size=4)
+# A timeline line's data is a TimelineRow: its snapshots are objects.
+_timeline_row = st.fixed_dictionaries(
+    {
+        "timestep": st.integers(min_value=0),
+        "worst_degree_ratio": _scalars,
+        "healed": _row,
+        "ghost": _row,
+    }
+)
 
 
 @st.composite
@@ -62,7 +71,7 @@ def run_records(draw) -> RunRecord:
     return RunRecord(
         spec=spec,
         summary=draw(_row),
-        timeline=draw(st.lists(_row, max_size=3)),
+        timeline=draw(st.lists(_timeline_row, max_size=3)),
         trace=draw(st.lists(_row, max_size=3)),
         cache_stats=draw(_row),
     )

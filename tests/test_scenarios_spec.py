@@ -20,6 +20,7 @@ from repro.scenarios import (
     list_healers,
     list_topologies,
 )
+from repro.util.rng import derive_seed
 from repro.util.validation import ValidationError
 
 #: Small-but-valid kwargs per topology (several generators have required args).
@@ -71,6 +72,24 @@ def test_bad_kwargs_name_the_accepted_parameters():
     spec = ScenarioSpec(healer="xheal", topology="ring", topology_kwargs={"nodes": 9})
     with pytest.raises(ValidationError, match="accepted parameters"):
         spec.validate()
+
+
+class _UnhashableRing:
+    """A topology component that is a callable instance and cannot be hashed."""
+
+    __hash__ = None
+
+    def __call__(self, n: int, seed: int = 0):
+        return nx.cycle_graph(n)
+
+
+def test_an_unhashable_component_is_still_signature_checked(monkeypatch):
+    monkeypatch.setitem(TOPOLOGIES._entries, "unhashable-ring", _UnhashableRing())
+    spec = ScenarioSpec(healer="xheal", topology="unhashable-ring", topology_kwargs={"nodes": 9})
+    with pytest.raises(ValidationError, match=r"accepted parameters: \['n', 'seed'\]"):
+        spec.validate()
+    spec = spec.with_overrides(topology_kwargs={"n": 9})
+    assert spec.validate().component_kwargs("topology")["seed"] == derive_seed(0, "topology")
 
 
 def test_run_kappa_reaches_kappa_aware_healers():
