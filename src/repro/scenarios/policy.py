@@ -98,11 +98,6 @@ class PointPolicy(Document):
         ).validate()
 
 
-#: Points each worker of a multi-process transport holds in flight: the one
-#: it runs and the next ones, queued so it never idles on a result round trip.
-LEASES_PER_WORKER = 4
-
-
 class Lease(NamedTuple):
     """One attempt of one point on a worker; ``seq`` is the lease order."""
 
@@ -121,8 +116,8 @@ class PointScheduler:
     :meth:`lease` points, relay each worker's report that it started one
     (:meth:`start`), and report how each lease ended (:meth:`settle`,
     :meth:`finish`, :meth:`fail`, :meth:`die`, :meth:`expire`,
-    :meth:`release`).  A lease's deadline counts from its start, so a
-    transport may queue :data:`LEASES_PER_WORKER` leases on a worker.  The
+    :meth:`release`, :meth:`requeue`).  A lease's deadline counts from its
+    start, so a transport may queue several leases on a worker.  The
     scheduler owns the deadlines, the :meth:`PointPolicy.retry_delay`
     backoff, the canonical timeout and worker-death errors, and a point's
     last charge: ``on_quarantine(index, attempts, error)``, or re-raising
@@ -161,6 +156,11 @@ class PointScheduler:
     def started(self, lease: Lease) -> bool:
         """Return whether a worker reported starting ``lease``."""
         return lease.seq in self._started
+
+    def queued(self) -> int:
+        """Return how many points are ready to lease now."""
+        self._promote(self.clock())
+        return len(self._queue)
 
     def lease(self) -> Lease | None:
         """Lease the next ready point to a worker, or return ``None``.
@@ -290,14 +290,24 @@ class PointScheduler:
         self._started.pop(lease.seq, None)
         self._queue.append((lease.index, lease.attempt))
 
+    def requeue(self, leases: Sequence[Lease]) -> None:
+        """Re-queue innocent leases' points, uncharged, in order at the front of the queue.
+
+        They were next in line when leased, so a worker's death or kill does
+        not push them behind the points queued since (a resume queues the
+        most expensive points first).
+        """
+        for lease in leases:
+            del self._leased[lease.seq]
+            self._started.pop(lease.seq, None)
+        self._queue.extendleft((lease.index, lease.attempt) for lease in reversed(leases))
+
     def release_unstarted(self, leases) -> list[Lease]:
-        """Release every lease of ``leases`` no worker started; return the started rest.
+        """Requeue every lease of ``leases`` no worker started; return the started rest.
 
         A worker that dies or is killed holds its started lease, which the
         transport then charges, and the queued ones it never began.
         """
         started = [lease for lease in leases if self.started(lease)]
-        for lease in leases:
-            if not self.started(lease):
-                self.release(lease)
+        self.requeue([lease for lease in leases if not self.started(lease)])
         return started

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.adversary.base import AdversaryEvent, EventType
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.scenarios.policy import LEASES_PER_WORKER, PointPolicy, PointScheduler
+from repro.scenarios.policy import PointPolicy, PointScheduler
 from repro.scenarios.spec import ScenarioSpec
 from repro.util.validation import Document, require, require_in
 
@@ -366,6 +366,13 @@ def run_scenarios(
     )
 
 
+#: Points per worker the process pool keeps submitted, so no worker idles
+#: for a result round trip.  Its workers draw them from one shared queue, so
+#: the window commits no point to a worker; on a 2-vCPU x86-64 VM, 4 ran
+#: the 1-worker sweep-stream perfbench workload 9% faster than 2.
+LEASES_PER_WORKER = 4
+
+
 def _run_pooled(ctx) -> None:
     """The process-pool transport over a :class:`PointScheduler`.
 
@@ -373,15 +380,14 @@ def _run_pooled(ctx) -> None:
     the pool's start-stamp queue and runs ``execute_point(spec, attempt)``,
     and reports how each lease ended; the scheduler owns retries, backoff and
     quarantine.  A lease's timeout clock runs from its stamp, so
-    :data:`~repro.scenarios.policy.LEASES_PER_WORKER` leases per worker stay
-    in flight with or without a timeout, and no worker idles for a result
-    round trip between points.  The parent reads the stamps before it looks
-    for overdue leases and before it charges a broken pool.  The executor
-    cannot say which worker died holding which point, so a broken pool
-    charges the started, unfinished leases (exact for ``workers=1``) and
-    releases the rest.  A stuck worker has no cooperative stop, so a timeout
-    kills the whole pool: the overdue leases are charged and the innocents
-    released.
+    :data:`LEASES_PER_WORKER` leases per worker stay in flight with or
+    without a timeout, and no worker idles for a result round trip between
+    points.  The parent reads the stamps before it looks for overdue leases
+    and before it charges a broken pool.  The executor cannot say which
+    worker died holding which point, so a broken pool charges the started,
+    unfinished leases (exact for ``workers=1``) and requeues the rest.  A
+    stuck worker has no cooperative stop, so a timeout kills the whole pool:
+    the overdue leases are charged and the innocents requeued.
     """
     spec_list = ctx.spec_list
     workers = max(1, ctx.workers)
@@ -462,9 +468,7 @@ def _run_pooled(ctx) -> None:
             overdue = scheduler.overdue()
             if overdue:
                 replace_pool()
-                for lease in scheduler.leased():
-                    if lease not in overdue:
-                        scheduler.release(lease)
+                scheduler.requeue([lease for lease in scheduler.leased() if lease not in overdue])
                 for lease in overdue:
                     scheduler.expire(lease)
         pool.shutdown(wait=True)

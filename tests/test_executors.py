@@ -36,10 +36,19 @@ from repro.scenarios.executors import (
     SerialExecutor,
     resolve_executor,
 )
-from repro.scenarios.fleet import RemoteWorkerError, SubprocessFleetExecutor
-from repro.scenarios.policy import LEASES_PER_WORKER, PointScheduler
+from repro.scenarios.fleet import (
+    DEAD,
+    LEASED,
+    LEASES_PER_SLOT,
+    READY,
+    RemoteWorkerError,
+    SubprocessFleetExecutor,
+    _fill,
+    _Worker,
+)
+from repro.scenarios.policy import PointScheduler
 from repro.scenarios.registry import EXECUTORS, UnknownNameError
-from repro.scenarios.runner import RunRecord
+from repro.scenarios.runner import LEASES_PER_WORKER, RunRecord
 from repro.scenarios.stream import (
     FAILURES_NAME,
     MANIFEST_NAME,
@@ -66,6 +75,9 @@ BASE = ScenarioSpec(
 )
 
 SWEEP = SweepSpec(base=BASE, axes={"timesteps": [3, 5], "healer_kwargs.kappa": [2, 4]})
+
+#: Points a one-worker transport holds in flight.
+DEPTH = {"process-pool": LEASES_PER_WORKER, "subprocess-fleet": LEASES_PER_SLOT}
 
 #: The schedule test_chaos.py pins (seed 43 faults every SWEEP point's first
 #: attempt across crash/raise/torn-write, with a clean attempt within 3
@@ -208,9 +220,9 @@ def test_fleet_chaos_differential_with_worker_kills(tmp_path, monkeypatch):
 def test_a_one_worker_fleet_with_queued_leases_converges_through_crash_chaos(
     tmp_path, monkeypatch
 ):
-    """One worker holds every point at once, so each crash finds points queued
-    behind the one it kills; they are released uncharged and nothing is
-    quarantined."""
+    """One worker holds several points at once, so each crash finds points
+    queued behind the one it kills; they are requeued uncharged and nothing
+    is quarantined."""
     specs = SWEEP.expand()
     clean = run_scenarios(specs, stream_to=tmp_path / "clean")
     monkeypatch.setenv(ENV_VAR, CHAOS.to_json())
@@ -227,14 +239,14 @@ def test_a_one_worker_fleet_with_queued_leases_converges_through_crash_chaos(
 
 @pytest.mark.parametrize("backend", ["process-pool", "subprocess-fleet"])
 def test_a_crash_charges_the_started_point_and_never_a_queued_one(monkeypatch, backend):
-    """One worker, every point leased to it, seeded crashes and raises.
+    """One worker, several points leased to it, seeded crashes and raises.
 
     Each point is delivered on exactly the first attempt its schedule leaves
     clean: a crash that charged a point still queued behind the crashing one
     would deliver that point on a later attempt.
     """
     specs = SWEEP.expand()
-    assert len(specs) <= LEASES_PER_WORKER
+    assert min(DEPTH[backend], len(specs)) > 1
     monkeypatch.setenv(ENV_VAR, CHAOS.to_json())
     expected = {
         index: next(
@@ -277,7 +289,7 @@ def test_a_timed_one_worker_transport_holds_more_than_one_lease(monkeypatch, bac
         specs, workers=1, executor=backend, policy=PointPolicy(timeout_s=60.0)
     )
     assert [record.spec for record in records] == specs
-    assert max(in_flight) == min(LEASES_PER_WORKER, len(specs)) > 1
+    assert max(in_flight) == min(DEPTH[backend], len(specs)) > 1
 
 
 def test_fleet_kill_and_resume_converges_to_serial_bytes(tmp_path, monkeypatch):
@@ -412,6 +424,59 @@ def test_a_points_timeout_clock_starts_when_a_worker_starts_it(tmp_path, monkeyp
 def test_remote_worker_error_repr_is_the_wire_payload_verbatim():
     error = RemoteWorkerError("ChaosError('injected failure for abcdef123456 attempt 0')")
     assert repr(error) == "ChaosError('injected failure for abcdef123456 attempt 0')"
+
+
+def _slots(*states) -> dict:
+    """A fleet of worker slots in ``states``, with no processes behind them."""
+    fleet = {slot: _Worker(slot) for slot in range(len(states))}
+    for worker, state in zip(fleet.values(), states):
+        worker.state = state
+    return fleet
+
+
+def _filler(fleet: dict, points: int):
+    """Return a ``fill()`` that leases from a ``points``-point scheduler and
+    returns the indices each slot holds."""
+    scheduler = PointScheduler([BASE] * points, range(points), None, lambda *_: None)
+
+    def fill() -> list:
+        _fill(fleet, scheduler, lambda worker, lease: worker.leases.append(lease))
+        return [[lease.index for lease in worker.leases] for worker in fleet.values()]
+
+    return fill
+
+
+def test_the_fleet_leases_level_by_level_and_counts_a_spawning_slot_as_empty():
+    """No worker gets another point while a live slot holds fewer, so the
+    first worker to report ready does not take the points of the workers
+    still spawning."""
+    fleet = _slots(READY, LEASED, LEASED, DEAD)
+    fill = _filler(fleet, 100)
+    assert fill() == [[0], [], [], []]
+    fleet[1].state = READY
+    assert fill() == [[0], [1], [], []]
+    fleet[2].state = READY
+    held = fill()
+    assert held[3] == []
+    levels = range(LEASES_PER_SLOT)
+    assert [sorted(indices[depth] for indices in held[:3]) for depth in levels] == [
+        [3 * depth, 3 * depth + 1, 3 * depth + 2] for depth in levels
+    ]
+    fleet[1].leases.clear()
+    first_new = 3 * LEASES_PER_SLOT
+    assert fill()[1] == list(range(first_new, first_new + LEASES_PER_SLOT))
+
+
+def test_the_fleet_queues_no_point_behind_a_running_one_once_few_remain():
+    """A short sweep's points are never queued behind a running one: each
+    goes to whichever worker frees up first."""
+    fleet = _slots(READY, READY, READY)
+    fill = _filler(fleet, 5)
+    assert fill() == [[0], [1], [2]]
+    fleet[1].leases.clear()
+    assert fill() == [[0], [3], [2]]
+    fleet[2].leases.clear()
+    assert fill() == [[0], [3], [4]]
 
 
 def test_fleet_raises_after_repeated_spawn_failures(monkeypatch):

@@ -186,6 +186,19 @@ def test_release_unstarted_requeues_the_queued_leases_and_returns_the_started_on
     assert not any(scheduler.started(lease) for lease in requeued)
 
 
+def test_requeued_leases_go_back_in_order_ahead_of_the_points_still_queued():
+    """A dead worker's queued points keep their place in the schedule (a
+    resume queues the most expensive points first)."""
+    scheduler, _, log = make(PointPolicy(), points=3)
+    first, second = scheduler.lease(), scheduler.lease()
+    scheduler.start(first.seq, 0.0)
+    assert scheduler.release_unstarted([first, second]) == [first]
+    assert scheduler.lease().index == 1
+    scheduler.requeue([first, scheduler.leased()[1]])
+    assert [scheduler.lease().index for _ in range(3)] == [0, 1, 2]
+    assert log.events == [] and not any(scheduler.started(lease) for lease in scheduler.leased())
+
+
 def test_a_dead_worker_charges_its_lease_the_canonical_broken_executor_error():
     scheduler, _, log = make(PointPolicy())
     scheduler.die(scheduler.lease())
