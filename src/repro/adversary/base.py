@@ -17,8 +17,16 @@ from typing import Iterable
 
 import networkx as nx
 
+from repro.core.edgestore import EdgeStore
 from repro.util.ids import IdAllocator, NodeId
 from repro.util.rng import SeededRng
+
+
+def _sorted_nodes(graph: nx.Graph | EdgeStore) -> list[NodeId]:
+    """Return every node in ascending order (read-only: may be the store's index)."""
+    if isinstance(graph, EdgeStore):
+        return graph.sorted_nodes
+    return sorted(graph.nodes())
 
 
 class EventType(enum.Enum):
@@ -109,7 +117,7 @@ class Adversary(ABC):
 
     def _random_insertion(self, graph: nx.Graph, max_attachments: int) -> AdversaryEvent | None:
         """Insert a fresh node attached to a random non-empty subset of nodes."""
-        nodes = sorted(graph.nodes())
+        nodes = _sorted_nodes(graph)
         if not nodes:
             return None
         count = self._rng.randint(1, min(max_attachments, len(nodes)))
@@ -118,10 +126,14 @@ class Adversary(ABC):
 
     @staticmethod
     def _deletable_nodes(graph: nx.Graph, minimum_remaining: int) -> list[NodeId]:
-        """Return nodes that may be deleted while keeping ``minimum_remaining`` nodes."""
+        """Return nodes that may be deleted while keeping ``minimum_remaining`` nodes.
+
+        Either every node, in ascending order, or none.  The list may be the
+        store's own index: read it, never mutate it.
+        """
         if graph.number_of_nodes() <= minimum_remaining:
             return []
-        return sorted(graph.nodes())
+        return _sorted_nodes(graph)
 
     @staticmethod
     def _batched_deletions(

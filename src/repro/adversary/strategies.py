@@ -164,14 +164,15 @@ class CascadeAdversary(Adversary):
         self._last_neighbors: list[NodeId] = []
 
     def next_event(self, graph: nx.Graph, timestep: int) -> AdversaryEvent | None:
-        deletable = set(self._deletable_nodes(graph, self.min_nodes))
+        deletable = self._deletable_nodes(graph, self.min_nodes)
         if not deletable:
             return None
-        candidates = [node for node in self._last_neighbors if node in deletable]
+        # ``deletable`` is every live node or none, so membership is ``in graph``.
+        candidates = [node for node in self._last_neighbors if node in graph]
         if candidates:
             target = self._rng.choice(sorted(candidates))
         else:
-            target = max(sorted(deletable), key=lambda node: graph.degree(node))
+            target = max(deletable, key=lambda node: graph.degree(node))
         self._last_neighbors = sorted(graph.neighbors(target))
         return AdversaryEvent(EventType.DELETE, target)
 

@@ -10,10 +10,9 @@ date after every single event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import networkx as nx
-import numpy as np
 
 from repro.core.ghost import GhostGraph
 from repro.spectral.metrics import GraphMetrics
@@ -29,14 +28,16 @@ class DegreeRatioTracker:
 
     Two observation paths with identical results:
 
-    * :meth:`observe` — the reference Python scan over an ``nx.Graph``.
-    * :meth:`observe_store` — a vectorized pass over an
-      :class:`~repro.core.edgestore.EdgeStore`'s degree columns, paired with
-      a slot-aligned ghost-degree array the harness keeps current via
-      :meth:`record_insertion` (deletions never change ghost degrees, so
-      insertions are the only deltas).  ``argmax`` over slot order equals the
-      reference scan's first-improvement tie-breaking because node slots are
-      assigned in insertion order and never reused.
+    * :meth:`observe` — the reference scan over every node of the healed
+      graph (an ``nx.Graph`` or an :class:`~repro.core.edgestore.EdgeStore`);
+      it also returns the current worst ratio.
+    * :meth:`observe_store` — the per-event path, which re-scores only the
+      nodes the event touched.  Ghost degrees never fall, so a node's ratio
+      or additive excess can rise only when its healed degree rose or its
+      ghost degree changed; every other node is still bounded by the maxima
+      already seen.  Touched nodes are scored in store slot order with a
+      strict ``>``, so :attr:`worst_node` keeps the full scan's
+      first-improvement tie-break.
     """
 
     def __init__(self, kappa: int):
@@ -44,17 +45,41 @@ class DegreeRatioTracker:
         self.max_ratio_seen = 0.0
         self.max_additive_violation = 0.0
         self.worst_node: NodeId | None = None
-        self._store: "EdgeStore | None" = None
-        self._ghost: GhostGraph | None = None
-        self._ghost_deg = np.zeros(0, dtype=np.int64)
+        self._observed = False
 
     def observe(self, healed: nx.Graph, ghost: GhostGraph) -> float:
         """Record the current worst degree ratio; return it."""
+        return self._score(healed.nodes(), healed.degree, ghost)
+
+    def observe_store(
+        self, store: "EdgeStore", ghost: GhostGraph, touched: Iterable[NodeId]
+    ) -> None:
+        """Fold one event into the maxima by re-scoring the nodes it touched.
+
+        ``touched`` must name every live node whose healed degree rose or
+        whose ghost degree changed in the event: an inserted node, its
+        anchors and both endpoints of every edge the healer added (nodes no
+        longer in ``store`` are skipped).  The first call scans every node,
+        because nothing before it was observed.
+        """
+        if not self._observed:
+            self._observed = True
+            self.observe(store, ghost)
+            return
+        nodes = sorted({node for node in touched if node in store}, key=store.slot_of)
+        self._score(nodes, store.degree, ghost)
+
+    def _score(
+        self, nodes: Iterable[NodeId], degree: Callable[[NodeId], int], ghost: GhostGraph
+    ) -> float:
+        """Fold ``nodes`` (in scan order) into the maxima; return their worst ratio."""
         worst = 0.0
-        for node in healed.nodes():
+        kappa = self.kappa
+        for node in nodes:
+            healed_degree = degree(node)
             ghost_degree = ghost.degree(node)
-            ratio = healed.degree(node) / max(1, ghost_degree)
-            excess = healed.degree(node) - (self.kappa * ghost_degree + 2 * self.kappa)
+            ratio = healed_degree / max(1, ghost_degree)
+            excess = healed_degree - (kappa * ghost_degree + 2 * kappa)
             if ratio > worst:
                 worst = ratio
             if ratio > self.max_ratio_seen:
@@ -62,51 +87,6 @@ class DegreeRatioTracker:
                 self.worst_node = node
             if excess > self.max_additive_violation:
                 self.max_additive_violation = excess
-        return worst
-
-    # -- vectorized path over an EdgeStore ------------------------------------
-
-    def attach_store(self, store: "EdgeStore", ghost: GhostGraph) -> None:
-        """Bind the tracker to a healer's store and seed the ghost-degree array."""
-        self._store = store
-        self._ghost = ghost
-        self._ghost_deg = np.zeros(max(16, store.node_high_water * 2), dtype=np.int64)
-        for node in store.nodes():
-            self._ghost_deg[store.slot_of(node)] = ghost.degree(node)
-
-    def record_insertion(self, node: NodeId, neighbors: Iterable[NodeId]) -> None:
-        """Refresh ghost degrees after an insertion was applied to ghost+healer."""
-        store, ghost = self._store, self._ghost
-        assert store is not None and ghost is not None, "attach_store() first"
-        high = store.node_high_water
-        if high > len(self._ghost_deg):
-            grown = np.zeros(max(high, len(self._ghost_deg) * 2), dtype=np.int64)
-            grown[: len(self._ghost_deg)] = self._ghost_deg
-            self._ghost_deg = grown
-        self._ghost_deg[store.slot_of(node)] = ghost.degree(node)
-        for neighbor in set(neighbors):
-            if neighbor in store:
-                self._ghost_deg[store.slot_of(neighbor)] = ghost.degree(neighbor)
-
-    def observe_store(self) -> float:
-        """Vectorized :meth:`observe` over the attached store; same results."""
-        store = self._store
-        assert store is not None, "attach_store() first"
-        node_ids, alive, healed_deg = store.node_columns()
-        if not len(node_ids) or not alive.any():
-            return 0.0
-        ghost_deg = self._ghost_deg[: len(node_ids)]
-        ratio = healed_deg / np.maximum(ghost_deg, 1)
-        ratio = np.where(alive, ratio, -1.0)
-        at = int(ratio.argmax())
-        worst = float(ratio[at])
-        if worst > self.max_ratio_seen:
-            self.max_ratio_seen = worst
-            self.worst_node = int(node_ids[at])
-        excess = healed_deg - (self.kappa * ghost_deg + 2 * self.kappa)
-        worst_excess = int(excess[alive].max())
-        if worst_excess > self.max_additive_violation:
-            self.max_additive_violation = worst_excess
         return worst
 
     @property

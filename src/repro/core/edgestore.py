@@ -17,11 +17,13 @@ Two properties are load-bearing:
   :meth:`to_networkx` therefore materializes a graph whose metrics match the
   pre-rewrite implementation byte for byte (pinned by
   ``tests/test_harness_reference.py``).
-* **Slot stability for vectorized consumers.**  Node slots are append-only
-  (never reused), so
-  :class:`~repro.analysis.trackers.DegreeRatioTracker` can keep a
-  slot-aligned ghost-degree array and evaluate the Theorem-2(1) degree bound
-  with three numpy expressions instead of a Python scan per timestep.
+* **Ordered node views without a per-event sort.**  Node slots are
+  append-only (never reused), so :meth:`slot_of` orders any set of nodes the
+  way :meth:`nodes` iterates them;
+  :class:`~repro.analysis.trackers.DegreeRatioTracker` re-scores an event's
+  touched nodes in that order to keep a full scan's tie-break.
+  :attr:`sorted_nodes` keeps every live id in ascending order, so the
+  adversaries draw from it instead of sorting every node each step.
 
 The store intentionally speaks a small ``nx.Graph``-compatible dialect
 (``nodes() / neighbors() / degree() / edges(nbunch) / number_of_nodes()`` and
@@ -31,6 +33,7 @@ all drive it directly without materializing.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Iterable, Iterator
 
 import networkx as nx
@@ -76,11 +79,8 @@ class EdgeStore:
         "_adj",
         "_node_slot",
         "_node_meta",
-        "_node_ids",
-        "_node_alive",
-        "_deg",
-        "_node_count",
         "_node_high",
+        "_sorted",
         "_eu",
         "_ev",
         "_ekind",
@@ -95,14 +95,11 @@ class EdgeStore:
 
     def __init__(self) -> None:
         self._adj: dict[NodeId, dict[NodeId, int]] = {}
-        # -- node columns (slots are append-only; see module docstring) ------
+        # -- nodes (slots are append-only; see module docstring) -------------
         self._node_slot: dict[NodeId, int] = {}
         self._node_meta: dict[NodeId, dict] = {}
-        self._node_ids = np.zeros(16, dtype=np.int64)
-        self._node_alive = np.zeros(16, dtype=bool)
-        self._deg = np.zeros(16, dtype=np.int64)
-        self._node_count = 0
         self._node_high = 0
+        self._sorted: list[NodeId] = []
         # -- edge columns (slots are recycled through a free list) -----------
         self._eu = np.zeros(32, dtype=np.int64)
         self._ev = np.zeros(32, dtype=np.int64)
@@ -122,40 +119,23 @@ class EdgeStore:
         if node in self._adj:
             return
         self._adj[node] = {}
-        slot = self._node_high
-        if slot >= len(self._node_ids):
-            self._grow_nodes()
+        self._node_slot[node] = self._node_high
         self._node_high += 1
-        self._node_count += 1
-        self._node_slot[node] = slot
-        self._node_ids[slot] = node
-        self._node_alive[slot] = True
-        self._deg[slot] = 0
+        ids = self._sorted
+        if not ids or node > ids[-1]:
+            ids.append(node)  # an IdAllocator id is always the largest yet
+        else:
+            insort(ids, node)
 
     def remove_node(self, node: NodeId) -> None:
         """Remove ``node`` and every incident edge."""
         neighbors = self._adj.pop(node)
-        node_slot = self._node_slot.pop(node)
+        del self._node_slot[node]
         self._node_meta.pop(node, None)
         for other, slot in neighbors.items():
             del self._adj[other][node]
-            self._deg[self._node_slot[other]] -= 1
             self._drop_edge_slot(slot)
-        self._deg[node_slot] = 0
-        self._node_alive[node_slot] = False
-        self._node_count -= 1
-
-    def _grow_nodes(self) -> None:
-        capacity = max(32, len(self._node_ids) * 2)
-        for name in ("_node_ids", "_deg"):
-            old = getattr(self, name)
-            new = np.zeros(capacity, dtype=old.dtype)
-            new[: len(old)] = old
-            setattr(self, name, new)
-        old_alive = self._node_alive
-        new_alive = np.zeros(capacity, dtype=bool)
-        new_alive[: len(old_alive)] = old_alive
-        self._node_alive = new_alive
+        del self._sorted[bisect_left(self._sorted, node)]
 
     def __contains__(self, node: object) -> bool:
         return node in self._adj
@@ -169,6 +149,15 @@ class EdgeStore:
     def nodes(self) -> Iterator[NodeId]:
         """Iterate nodes in insertion order (matches ``nx.Graph.nodes()``)."""
         return iter(self._adj)
+
+    @property
+    def sorted_nodes(self) -> list[NodeId]:
+        """Every node in ascending id order: the store's own index, do not mutate.
+
+        Equal to ``sorted(self.nodes())`` at all times, kept up to date by
+        :meth:`add_node` and :meth:`remove_node` instead of sorted per read.
+        """
+        return self._sorted
 
     def has_node(self, node: NodeId) -> bool:
         return node in self._adj
@@ -294,8 +283,6 @@ class EdgeStore:
             self._adj[v][u] = slot
             self._eu[slot] = u
             self._ev[slot] = v
-            self._deg[self._node_slot[u]] += 1
-            self._deg[self._node_slot[v]] += 1
             self._edge_count += 1
         self._ekind[slot] = _KIND_TO_CODE[color.kind]
         self._etag[slot] = color.tag
@@ -312,8 +299,6 @@ class EdgeStore:
         slot = self._adj[u].pop(v)
         del self._adj[v][u]
         self._drop_edge_slot(slot)
-        self._deg[self._node_slot[u]] -= 1
-        self._deg[self._node_slot[v]] -= 1
 
     def _drop_edge_slot(self, slot: int) -> None:
         self._eowner0[slot] = _NO_OWNER
@@ -406,25 +391,11 @@ class EdgeStore:
             return 0
         return 1 + len(self._extra_owners.get(slot, ()))
 
-    # -------------------------------------------------- vectorized node views
-
-    @property
-    def node_high_water(self) -> int:
-        """One past the highest node slot ever assigned (slots never shrink)."""
-        return self._node_high
+    # ------------------------------------------------------------ node slots
 
     def slot_of(self, node: NodeId) -> int:
+        """Return ``node``'s slot; slots ascend in :meth:`nodes` order."""
         return self._node_slot[node]
-
-    def node_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(ids, alive, degree)`` column views up to the high-water slot.
-
-        Slot order equals node insertion order (append-only), which is what
-        keeps vectorized argmax tie-breaking identical to a Python scan over
-        ``nx.Graph.nodes()``.  The views alias live storage: read, don't write.
-        """
-        high = self._node_high
-        return self._node_ids[:high], self._node_alive[:high], self._deg[:high]
 
     # --------------------------------------------------------- materializer
 
@@ -452,15 +423,11 @@ class EdgeStore:
                 nbrs[v] = adj[v][u] = len(ends) // 2
                 ends += (u, v)
         n, m = len(adj), len(ends) // 2
-        while n > len(store._node_ids):
-            store._grow_nodes()
         while m > len(store._eu):
             store._grow_edges()
         store._node_slot = dict(zip(adj, range(n)))
-        store._node_ids[:n] = np.fromiter(adj, dtype=np.int64, count=n)
-        store._node_alive[:n] = True
-        store._deg[:n] = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
-        store._node_count = store._node_high = n
+        store._node_high = n
+        store._sorted = sorted(adj)
         store._eu[:m] = ends[0::2]
         store._ev[:m] = ends[1::2]
         store._ewas_black[:m] = True

@@ -25,22 +25,31 @@ from repro.util.validation import require
 
 
 class GhostGraph:
-    """Monotonically growing record of original + adversarially inserted structure."""
+    """Monotonically growing record of original + adversarially inserted structure.
+
+    The record is ``G_0`` plus the insertions since, with every node's ghost
+    degree kept in a dict, so an event costs time in proportion to its own
+    size.  The ``nx.Graph`` of ``G'_t`` is built on the first read of
+    :attr:`graph` (``G_0``'s nodes, then its edges, then each insertion in
+    order) and every later insertion is applied to it, so a run that takes
+    no snapshot never builds it.
+    """
 
     def __init__(self, initial_graph: nx.Graph | None = None):
-        self._graph = nx.Graph()
+        """Start ``G'_0`` from ``initial_graph``, a simple undirected graph.
+
+        ``initial_graph`` is held by reference and never mutated; only its
+        degrees are read here.  One graph may seed many ghosts (every healer
+        of a comparison, every pass over a compiled config), and the caller
+        must not mutate it while they are in use.
+        """
+        self._initial = initial_graph if initial_graph is not None else nx.Graph()
+        self._graph: nx.Graph | None = None
+        self._insertions: list[tuple[NodeId, tuple[NodeId, ...]]] = []
         self._deleted: set[NodeId] = set()
         self._version = 0
         self._graph_version = 0
-        if initial_graph is not None:
-            self._graph.add_nodes_from(initial_graph.nodes())
-            self._graph.add_edges_from(initial_graph.edges())
-        # Ghost degrees are probed once per healed node per timestep by the
-        # degree-ratio tracker; a plain dict keeps that O(1) instead of
-        # building a NetworkX DegreeView per probe.
-        self._degree: dict[NodeId, int] = {
-            node: degree for node, degree in self._graph.degree()
-        }
+        self._degree: dict[NodeId, int] = dict(self._initial.degree())
 
     # -- adversarial events ---------------------------------------------------
 
@@ -53,20 +62,20 @@ class GhostGraph:
         what matters, and the caller (the experiment harness) guarantees the
         adversary only names currently-alive nodes.
         """
-        require(node not in self._graph, f"node {node} was already inserted")
-        neighbor_list = list(neighbors)
+        require(node not in self._degree, f"node {node} was already inserted")
+        neighbor_list = tuple(neighbors)
         for neighbor in neighbor_list:
-            require(neighbor in self._graph, f"insertion neighbor {neighbor} unknown to G'")
+            require(neighbor in self._degree, f"insertion neighbor {neighbor} unknown to G'")
         self._version += 1
         self._graph_version += 1
-        self._graph.add_node(node)
-        for neighbor in neighbor_list:
-            if neighbor != node:
-                self._graph.add_edge(node, neighbor)
-        self._degree[node] = self._graph.degree(node)
-        for neighbor in set(neighbor_list):
-            if neighbor != node:
-                self._degree[neighbor] = self._graph.degree(neighbor)
+        if self._graph is None:
+            self._insertions.append((node, neighbor_list))
+        else:
+            _insert(self._graph, node, neighbor_list)
+        anchors = set(neighbor_list)
+        self._degree[node] = len(anchors)
+        for neighbor in anchors:
+            self._degree[neighbor] += 1
 
     def record_deletion(self, node: NodeId) -> None:
         """Record that ``node`` was deleted (the ghost graph itself is unchanged).
@@ -74,7 +83,7 @@ class GhostGraph:
         The version counter still advances: the *alive subgraph* view changes
         even though the full ghost graph does not.
         """
-        require(node in self._graph, f"cannot delete unknown node {node}")
+        require(node in self._degree, f"cannot delete unknown node {node}")
         self._version += 1
         self._deleted.add(node)
 
@@ -104,7 +113,17 @@ class GhostGraph:
 
     @property
     def graph(self) -> nx.Graph:
-        """The full ghost graph ``G'_t`` (including deleted nodes)."""
+        """The full ghost graph ``G'_t`` (including deleted nodes); do not mutate.
+
+        Built on the first read and kept current by later insertions.
+        """
+        if self._graph is None:
+            graph = nx.Graph()
+            graph.add_nodes_from(self._initial.nodes())
+            graph.add_edges_from(self._initial.edges())
+            for node, neighbors in self._insertions:
+                _insert(graph, node, neighbors)
+            self._graph, self._insertions = graph, []
         return self._graph
 
     def degree(self, node: NodeId) -> int:
@@ -117,7 +136,7 @@ class GhostGraph:
 
     def alive_nodes(self) -> set[NodeId]:
         """Return the nodes of ``G'_t`` that have not been deleted."""
-        return set(self._graph.nodes()) - self._deleted
+        return set(self.graph.nodes()) - self._deleted
 
     def alive_subgraph(self) -> nx.Graph:
         """Return the subgraph of ``G'_t`` induced on the alive nodes.
@@ -125,18 +144,26 @@ class GhostGraph:
         This is the natural comparison graph for pairwise-distance metrics
         (deleted nodes cannot be endpoints of a stretch measurement).
         """
-        return self._graph.subgraph(self.alive_nodes()).copy()
+        return self.graph.subgraph(self.alive_nodes()).copy()
 
     def number_of_nodes(self) -> int:
         """Return ``n``, the number of nodes of ``G'_t`` (deleted ones included)."""
-        return self._graph.number_of_nodes()
+        return len(self._degree)
 
     def copy(self) -> "GhostGraph":
         """Return an independent copy (used by what-if analyses)."""
         clone = GhostGraph()
-        clone._graph = self._graph.copy()
+        clone._initial = self._initial
+        clone._graph = None if self._graph is None else self._graph.copy()
+        clone._insertions = list(self._insertions)
         clone._deleted = set(self._deleted)
         clone._version = self._version
         clone._graph_version = self._graph_version
         clone._degree = dict(self._degree)
         return clone
+
+
+def _insert(graph: nx.Graph, node: NodeId, neighbors: tuple[NodeId, ...]) -> None:
+    """Add an inserted node and its edges to a built ``G'_t``, in event order."""
+    graph.add_node(node)
+    graph.add_edges_from((node, neighbor) for neighbor in neighbors)

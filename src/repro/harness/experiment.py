@@ -11,8 +11,10 @@ plain run whose adversary is a
 replays agree on every config knob by construction.
 
 The loop works on the healer's :class:`~repro.core.edgestore.EdgeStore` from
-start to finish.  An ``nx.Graph`` is built only for a metric snapshot or when
-a caller reads :attr:`ExperimentResult.final_graph`.
+start to finish, and each event costs time in proportion to what it touched.
+An ``nx.Graph`` of ``G_t`` is built only for a metric snapshot or when a
+caller reads :attr:`ExperimentResult.final_graph`, and the ghost's ``G'_t``
+only for a snapshot.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.analysis.amortized import AmortizedCostSummary, CostLedger
 from repro.analysis.invariants import Theorem2Verdict
 from repro.analysis.trackers import DegreeRatioTracker, MetricTimeline
 from repro.core.edgestore import EdgeStore
+from repro.core.events import RepairReport
 from repro.core.ghost import GhostGraph
 from repro.core.healer import SelfHealer
 from repro.perf.engine import MetricsEngine
@@ -187,17 +190,26 @@ class ExperimentResult:
 
 def _apply_event(
     healer: SelfHealer, ghost: GhostGraph, event: AdversaryEvent
-) -> tuple[int, int, int]:
-    """Apply one event to healer and ghost; return (black_degree, messages, rounds)."""
+) -> tuple[int, RepairReport]:
+    """Apply one event to healer and ghost; return (black_degree, the healer's report)."""
     if event.is_insertion:
         ghost.record_insertion(event.node, event.neighbors)
-        healer.handle_insertion(event.node, event.neighbors)
-        return (0, 0, 0)
+        return 0, healer.handle_insertion(event.node, event.neighbors)
     black_degree = ghost.degree(event.node)
     ghost.record_deletion(event.node)
-    report = healer.handle_deletion(event.node)
-    messages = report.messages if report.messages else report.total_edge_changes
-    return (black_degree, messages, report.rounds)
+    return black_degree, healer.handle_deletion(event.node)
+
+
+def _touched_nodes(event: AdversaryEvent, report: RepairReport) -> list:
+    """Nodes whose degree ratio the event may have raised (see ``observe_store``).
+
+    An insertion's report counts too: a healer may repair on an insertion
+    (``BudgetedHealer`` drains deferred edges then).
+    """
+    touched = [event.node, *event.neighbors]
+    for u, v in report.edges_added:
+        touched += (u, v)
+    return touched
 
 
 def _validate_batch(live, batch: Sequence[AdversaryEvent]) -> None:
@@ -301,7 +313,6 @@ def run_experiment(
     executed = 0
 
     store = healer.graph_store
-    degree_tracker.attach_store(store, ghost)
     snapshot_cadence = config.snapshot_every if config.snapshot_every else 0
 
     for timestep in range(1, config.timesteps + 1):
@@ -311,7 +322,6 @@ def run_experiment(
         # Atomicity: validate the whole batch against the untouched graph, so
         # a malformed correlated kill aborts before any member event applies.
         _validate_batch(store, batch)
-        worst_ratio = degree_tracker.max_ratio_seen
         for event in batch:
             trace.append(event)
             event_steps.append(timestep)
@@ -321,25 +331,25 @@ def run_experiment(
             else:
                 deletions += 1
 
-            black_degree, messages, rounds = _apply_event(healer, ghost, event)
+            black_degree, report = _apply_event(healer, ghost, event)
             if event.is_deletion:
                 ledger.record_deletion(
                     deleted=event.node,
                     black_degree=black_degree,
-                    messages=messages,
-                    rounds=rounds,
+                    messages=report.messages if report.messages else report.total_edge_changes,
+                    rounds=report.rounds,
                     network_size=store.number_of_nodes(),
                 )
-            else:
-                degree_tracker.record_insertion(event.node, event.neighbors)
             # Observe after *every* event (not once per timestep): replays
             # walk the flat trace event by event, so the degree-ratio stream
             # must match or run-vs-replay byte-identity breaks.
-            worst_ratio = degree_tracker.observe_store()
+            degree_tracker.observe_store(store, ghost, _touched_nodes(event, report))
 
         due = config.metric_every and timestep % config.metric_every == 0
         due = due or (snapshot_cadence and timestep % snapshot_cadence == 0)
         if due:
+            # A row is the only reader of the current worst ratio: one full scan.
+            worst_ratio = degree_tracker.observe(store, ghost)
             timeline.record(
                 timestep, healer.graph, ghost, worst_ratio, healed_version=healer.graph_version
             )

@@ -13,7 +13,6 @@ on mutation and materialization caching.  A third pins the bulk loader
 from __future__ import annotations
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,11 +134,35 @@ def test_edge_slots_are_recycled_but_node_slots_are_not():
     assert store.edge_slot(1, 2) is None
     assert store.add_edge(3, 4) == first_slot  # edge slot reused from free list
     # Node slots are append-only: reinsertion lands on a fresh slot, so slot
-    # order always equals insertion order (the tracker's argmax relies on it).
+    # order always equals insertion order (the tracker's tie-break relies on it).
     slot_of_1 = store.slot_of(1)
     store.remove_node(1)
     store.add_node(1)
     assert store.slot_of(1) > slot_of_1
+
+
+@SETTINGS
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["add_node", "add_edge", "remove_node"]),
+            st.integers(min_value=0, max_value=60),
+            st.integers(min_value=0, max_value=60),
+        ),
+        max_size=80,
+    )
+)
+def test_sorted_index_equals_sorted_nodes_under_churn(ops):
+    """Ids arrive in any order, also through an edge's implicit endpoints."""
+    store = EdgeStore()
+    for op, a, b in ops:
+        if op == "add_node":
+            store.add_node(a)
+        elif op == "add_edge" and a != b:
+            store.add_edge(a, b)
+        elif op == "remove_node" and a in store:
+            store.remove_node(a)
+        assert store.sorted_nodes == sorted(store.nodes())
 
 
 def test_remove_node_cleans_neighbor_adjacency_and_degrees():
@@ -235,8 +258,7 @@ def _assert_same_store(bulk: EdgeStore, reference: EdgeStore) -> None:
         assert [(v, bulk.edge_slot(node, v)) for v in bulk.neighbors(node)] == [
             (v, reference.edge_slot(node, v)) for v in reference.neighbors(node)
         ]
-    for got, want in zip(bulk.node_columns(), reference.node_columns()):
-        assert np.array_equal(got, want)
+    assert bulk.sorted_nodes == reference.sorted_nodes == sorted(reference.nodes())
     for u, v in reference.edges():
         slot = reference.edge_slot(u, v)
         assert bulk.color_of_slot(slot) == reference.color_of_slot(slot)
@@ -254,6 +276,7 @@ def _nx_connected(graph: nx.Graph) -> bool:
 @given(_initial_graphs(), _OPS)
 def test_from_networkx_matches_the_edge_by_edge_store_through_churn(graph, ops):
     bulk = EdgeStore.from_networkx(graph)
+    assert bulk.sorted_nodes == sorted(graph.nodes())
     reference = _store_edge_by_edge(graph)
     _assert_same_store(bulk, reference)
     assert bulk.is_connected() == _nx_connected(graph)

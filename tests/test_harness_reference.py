@@ -7,8 +7,9 @@ the current struct-of-arrays core must reproduce every row byte for byte —
 node iteration order, metric floats, verdicts, everything.
 
 A second layer cross-checks the *internal* fast paths against their reference
-implementations on live runs: the incremental degree-ratio tracker vs the
-full per-node scan, and the materialized ``nx.Graph`` vs the store.
+implementations on live runs: the touched-node degree-ratio tracker vs the
+full per-node scan (for every registered healer), and the materialized
+``nx.Graph`` vs the store.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.trackers import DegreeRatioTracker
-from repro.core.ghost import GhostGraph
+from repro.analysis.trackers import DegreeRatioTracker, MetricTimeline
 from repro.core.xheal import Xheal
 from repro.harness.experiment import run_experiment
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.registry import ADVERSARIES
+from repro.scenarios.registry import ADVERSARIES, HEALERS
 
 GOLDEN = Path(__file__).parent / "golden" / "reference_summaries.json"
 
@@ -44,45 +44,66 @@ def test_summary_rows_match_pre_rewrite_reference(entry):
     assert result.summary_row() == entry["summary"]
 
 
-def test_incremental_tracker_matches_reference_scan():
-    """The vectorized tracker and the Python reference scan agree event by event."""
-    spec = ScenarioSpec(
-        healer="xheal",
-        topology="random-regular",
-        topology_kwargs={"n": 24, "degree": 4},
-        adversary="churn",
+#: Every registered healer except the fault-injection fixture, which fails on
+#: purpose.  Each runs under single-node churn and under batched domain kills
+#: (whose insertion turns let ``budgeted`` drain deferred repairs).
+_TRACKER_HEALERS = sorted(set(HEALERS.names()) - {"chaos-flaky"})
+_TRACKER_RUNS = {
+    "random": dict(
+        topology="random-regular", topology_kwargs={"n": 24, "degree": 4}, adversary="random"
+    ),
+    "domain-kill": dict(
+        topology="racked-clos",
+        topology_kwargs={"racks": 4, "nodes_per_rack": 6},
+        adversary="domain-kill",
+        adversary_kwargs={"kill_every": 4},
+    ),
+}
+
+
+@pytest.mark.parametrize("adversary", sorted(_TRACKER_RUNS))
+@pytest.mark.parametrize("healer", _TRACKER_HEALERS)
+def test_incremental_tracker_matches_reference_scan(healer, adversary, monkeypatch):
+    """After every event, the touched-node tracker equals a full reference scan.
+
+    The tracker re-scores only the nodes an event touched, so this pins the
+    contract it relies on: every healer reports each edge it adds in the
+    event's ``RepairReport.edges_added``.  Each timeline row must carry the
+    reference's current worst ratio.
+    """
+    config = ScenarioSpec(
+        healer=healer,
+        **_TRACKER_RUNS[adversary],
         timesteps=60,
+        metric_every=10,
+        snapshot_every=0,
+        exact_expansion_limit=0,
+        stretch_sample_pairs=10,
         seed=13,
-    )
-    config = spec.validate().compile()
-    healer = config.healer_factory()
-    healer.initialize(config.initial_graph)
-    ghost = GhostGraph(config.initial_graph)
-    adversary = config.adversary_factory()
-    adversary.bind(config.initial_graph)
-
-    fast = DegreeRatioTracker(kappa=config.kappa)
+    ).validate().compile()
+    observe_store, record = DegreeRatioTracker.observe_store, MetricTimeline.record
     reference = DegreeRatioTracker(kappa=config.kappa)
-    fast.attach_store(healer.graph_store, ghost)
+    current_worst: list[float] = []
+    rows: list[int] = []
 
-    for timestep in range(1, config.timesteps + 1):
-        event = adversary.next_event(healer.graph_store, timestep)
-        if event is None:
-            break
-        if event.is_insertion:
-            ghost.record_insertion(event.node, event.neighbors)
-            healer.handle_insertion(event.node, event.neighbors)
-            fast.record_insertion(event.node, event.neighbors)
-        else:
-            ghost.record_deletion(event.node)
-            healer.handle_deletion(event.node)
-        worst_fast = fast.observe_store()
-        worst_reference = reference.observe(healer.graph, ghost)
-        assert worst_fast == worst_reference
-        assert fast.max_ratio_seen == reference.max_ratio_seen
-        assert fast.worst_node == reference.worst_node
-        assert fast.max_additive_violation == reference.max_additive_violation
-        assert fast.bound_respected == reference.bound_respected
+    def checked(tracker, store, ghost, touched):
+        observe_store(tracker, store, ghost, touched)
+        current_worst.append(reference.observe(store, ghost))
+        got = (tracker.max_ratio_seen, tracker.worst_node, tracker.max_additive_violation)
+        want = (reference.max_ratio_seen, reference.worst_node, reference.max_additive_violation)
+        assert got == want, f"event {len(current_worst)}"
+        assert tracker.bound_respected == reference.bound_respected
+
+    def recorded(timeline, timestep, healed, ghost, worst_degree_ratio, **kwargs):
+        assert worst_degree_ratio == current_worst[-1], f"row at step {timestep}"
+        rows.append(timestep)
+        return record(timeline, timestep, healed, ghost, worst_degree_ratio, **kwargs)
+
+    monkeypatch.setattr(DegreeRatioTracker, "observe_store", checked)
+    monkeypatch.setattr(MetricTimeline, "record", recorded)
+    result = run_experiment(config)
+    assert len(current_worst) == len(result.trace) > 0 and rows
+    assert result.worst_degree_ratio == reference.max_ratio_seen
 
 
 def test_materialized_graph_matches_store_after_churn():

@@ -13,7 +13,8 @@ Three distinct bugs are pinned here:
 
 A fourth class pins the materialization contract of the run loop: an
 ``nx.Graph`` is built only for a metric snapshot or a read of
-``ExperimentResult.final_graph``.
+``ExperimentResult.final_graph``, and the ghost graph ``G'_t`` only for a
+snapshot.
 """
 
 from __future__ import annotations
@@ -190,6 +191,14 @@ class TestMaterializationContract:
         )
         assert replayed.summary_row() == live.summary_row()
         assert materializations == []
+
+    def test_snapshot_free_runs_never_build_the_ghost_graph(self):
+        spec = _deletion_heavy_spec(adversary_kwargs={"delete_probability": 0.5})
+        snapshot = run_experiment(spec.validate().compile())
+        assert snapshot.ghost._graph is not None  # a snapshot builds G'_t
+        live = run_experiment(replace(spec, snapshot_every=0).validate().compile())
+        assert live.insertions > 0 and live.deletions > 0
+        assert live.ghost._graph is None
 
     def test_final_graph_materializes_once_and_matches_a_healer_copy(self, materializations):
         spec = _deletion_heavy_spec(
